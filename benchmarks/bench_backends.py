@@ -33,7 +33,6 @@ def cases():
     yield "divisor_sieve(1e7)", lambda b: _kernels.divisor_sieve(10**7, backend=b)
     d = _kernels.divisor_sieve(10**6)
     yield "unit_convolve(1e6)", lambda b: _kernels.unit_convolve(d, backend=b)
-    yield "trial_division_counts(1e6)", lambda b: _kernels.trial_division_counts(10**6, backend=b)
     yield "hyperbola_dsum(1e12)", lambda b: _kernels.hyperbola_dsum(10**12, backend=b)
     n = np.arange(1, 10**6 + 1, dtype=np.float64)
     w = d[1:].astype(np.float64) * n**-0.75

@@ -5,6 +5,14 @@ fallbacks reproduce the same results with blocked pairwise summation
 (block size 2**16) combined by ``math.fsum``.  Dispatchers pick the
 backend chosen in ``_accel`` unless an explicit ``backend=`` is passed,
 which the equivalence tests and the benchmark use.
+
+The NumPy divisor sieve counts divisor pairs: every i <= sqrt(N) adds 2
+to each multiple m >= i*i (the pair i, m/i) and takes 1 back at m = i*i,
+so it makes isqrt(N) strided passes instead of N.  The NumPy hyperbola
+sum adds floor(U/i) over i <= sqrt(U) in blocks of BLOCK terms into a
+Python int, so its memory is O(BLOCK) whatever U is.  ``hyperbola_dsum``
+accepts U <= HYPERBOLA_MAX_U, where every int64 partial sum of either
+backend stays below 2**63, and raises ResourceError above it.
 """
 
 import math
@@ -12,8 +20,15 @@ import math
 import numpy as np
 
 from ._accel import USE_NUMBA, njit
+from .errors import ResourceError
 
 BLOCK = 1 << 16
+
+#: Largest U that ``hyperbola_dsum`` accepts.  A NumPy block sum of
+#: floor(U/i) is at most U * (1 + ln BLOCK) < 2.5e18, and twice the numba
+#: twin's running total is at most 2U * (1 + ln sqrt U) < 8.4e18; both stay
+#: below 2**63 = 9.22e18.
+HYPERBOLA_MAX_U = 2 * 10**17
 
 
 def _pick(backend, numba_impl, numpy_impl):
@@ -39,8 +54,9 @@ def _divisor_sieve_nb(n):
 
 def _divisor_sieve_np(n):
     out = np.zeros(n + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        out[i::i] += 1
+    for i in range(1, math.isqrt(n) + 1):
+        out[i * i :: i] += 2
+        out[i * i] -= 1
     return out
 
 
@@ -73,37 +89,6 @@ def unit_convolve(prev, backend=None):
     return _pick(backend, _unit_convolve_nb, _unit_convolve_np)(prev)
 
 
-@njit
-def _trial_division_counts_nb(n):
-    out = np.zeros(n + 1, dtype=np.int64)
-    for m in range(1, n + 1):
-        c = 0
-        i = 1
-        while i * i < m:
-            if m % i == 0:
-                c += 2
-            i += 1
-        if i * i == m:
-            c += 1
-        out[m] = c
-    return out
-
-
-def _trial_division_counts_np(n):
-    # same divisor-pair count d(m) = sum_{i<=sqrt(m), i|m} (2 - [i*i == m]),
-    # reorganized with i as the outer loop so the inner work is a strided add
-    out = np.zeros(n + 1, dtype=np.int64)
-    for i in range(1, math.isqrt(n) + 1):
-        out[i * i :: i] += 2
-        out[i * i] -= 1
-    return out
-
-
-def trial_division_counts(n, backend=None):
-    """Oracle d(m) for m <= N via divisor pairs below sqrt(m)."""
-    return _pick(backend, _trial_division_counts_nb, _trial_division_counts_np)(n)
-
-
 # ------------------------------------------------------- summatory counts
 
 @njit
@@ -128,14 +113,23 @@ def _hyperbola_dsum_nb(u):
 
 def _hyperbola_dsum_np(u):
     s = math.isqrt(u)
-    if s == 0:
-        return 0
-    q = u // np.arange(1, s + 1, dtype=np.int64)
-    return 2 * int(q.sum()) - s * s
+    total = 0
+    for lo in range(1, s + 1, BLOCK):
+        hi = min(lo + BLOCK, s + 1)
+        total += int((u // np.arange(lo, hi, dtype=np.int64)).sum())
+    return 2 * total - s * s
 
 
 def hyperbola_dsum(u, backend=None):
-    """D(U) = sum_{n<=U} d(n) by the hyperbola identity, exact int64."""
+    """D(U) = sum_{n<=U} d(n) by the hyperbola identity, exact.
+
+    Raises ResourceError for U > HYPERBOLA_MAX_U, before any allocation.
+    """
+    if u > HYPERBOLA_MAX_U:
+        raise ResourceError(
+            f"hyperbola sum needs U <= {HYPERBOLA_MAX_U} for exact int64 partial "
+            f"sums, got U = {u}"
+        )
     return int(_pick(backend, _hyperbola_dsum_nb, _hyperbola_dsum_np)(u))
 
 

@@ -46,9 +46,16 @@ class DivisorTable:
         return int(self.values[n])
 
     def summatory(self):
-        """Cumulative sums: result[n] = sum_{m<=n} values[m]."""
-        out = np.zeros(self.limit + 1, dtype=np.int64)
-        np.cumsum(self.values[1:], out=out[1:])
+        """Cumulative sums: result[n] = sum_{m<=n} values[m].
+
+        Computed on the first call; every call returns that read-only array.
+        """
+        out = self.__dict__.get("_summatory")
+        if out is None:
+            out = np.zeros(self.limit + 1, dtype=np.int64)
+            np.cumsum(self.values[1:], out=out[1:])
+            out.flags.writeable = False
+            object.__setattr__(self, "_summatory", out)
         return out
 
 
@@ -121,15 +128,15 @@ def sieve_divisors(n, lam=2, budget=DEFAULT_SIEVE_BUDGET, backend=None):
 
 def summatory_hyperbola(x, backend=None):
     """Exact D(floor(X)) in O(sqrt X) integer operations."""
-    if x < 1:
-        raise DomainError(f"summatory_hyperbola needs X >= 1, got {x}")
+    if not 1 <= x < math.inf:
+        raise DomainError(f"summatory_hyperbola needs a finite X >= 1, got {x}")
     return _kernels.hyperbola_dsum(int(math.floor(x)), backend=backend)
 
 
 def delta(x, table=None, backend=None):
     """SummatoryPoint at X: exact D(floor(X)) plus floating delta(X)."""
-    if x < 1:
-        raise DomainError(f"delta needs X >= 1, got {x}")
+    if not 1 <= x < math.inf:
+        raise DomainError(f"delta needs a finite X >= 1, got {x}")
     u = int(math.floor(x))
     if table is not None and table.limit >= u and table.order == 2:
         d_sum = int(table.summatory()[u])
@@ -149,9 +156,10 @@ def delta_from_cumsum(x, cumsum):
 
 def delta_scan(x_lo, x_hi, step, table=None, budget=DEFAULT_SIEVE_BUDGET, backend=None):
     """SummatoryPoints on the grid x_lo, x_lo+step, ..., <= x_hi."""
-    if not (1 <= x_lo <= x_hi) or step <= 0:
+    if not (1 <= x_lo <= x_hi < math.inf and 0 < step < math.inf):
         raise DomainError(
-            f"scan range [{x_lo}, {x_hi}] with step {step} is empty or starts below 1"
+            f"scan range [{x_lo}, {x_hi}] with step {step} is empty, starts below 1 "
+            "or is not finite"
         )
     count = int(math.floor((x_hi - x_lo) / step + 1e-9)) + 1
     xs = [x_lo + i * step for i in range(count)]

@@ -33,8 +33,20 @@ class TestCompute:
         assert run(capsys, "compute")[0] == 2
         assert run(capsys, "nonsense")[0] == 2
 
+    @pytest.mark.parametrize("x, want", [("nan", 2), ("inf", 2), ("1e30", 3)])
+    def test_unusable_x_one_line(self, capsys, x, want):
+        code, out, err = run(capsys, "compute", "--x", x)
+        assert code == want
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestScan:
+    def test_not_finite(self, capsys):
+        code, _, err = run(capsys, "scan", "--to", "inf")
+        assert code == 2
+        assert err.count("\n") == 1
+
     def test_thousand_rows(self, capsys, tmp_path):
         out_path = tmp_path / "d.csv"
         code, _, _ = run(capsys, "scan", "--to", "1000", "--step", "1", "--out", str(out_path))

@@ -92,9 +92,9 @@ class TestSieve:
                 assert table.values[n] == divisor_count_lambda(n, lam)
 
     def test_trial_division_kernel_agrees(self):
-        got = _kernels.trial_division_counts(2000)
-        want = sieve_divisors(2000, 2).values
-        assert np.array_equal(got, want)
+        got = _kernels.divisor_sieve(2000)
+        want = [0] + [divisor_count(n) for n in range(1, 2001)]
+        assert got.tolist() == want
 
     def test_budget(self):
         with pytest.raises(ResourceError):
@@ -132,8 +132,66 @@ class TestSummatory:
         assert summatory_hyperbola(10**6) == int(table_1e6.summatory()[10**6]) == 13970034
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            summatory_hyperbola(0.5)
+        for x in (0.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                summatory_hyperbola(x)
+            with pytest.raises(DomainError):
+                delta(x)
+
+    def test_table_summatory_cached(self, table_1e4):
+        first = table_1e4.summatory()
+        assert table_1e4.summatory() is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[1] = 0
+        assert first[0] == 0
+        assert np.array_equal(first[1:], np.cumsum(table_1e4.values[1:]))
+
+    def test_pinned_trillion(self):
+        assert summatory_hyperbola(10**12) == 27785452449086
+        assert _kernels.hyperbola_dsum(10**12, backend="numpy") == 27785452449086
+
+
+def dsum_quotient_blocks(u):
+    """D(U) = sum_{n<=U} floor(U/n), one term per run of equal quotients."""
+    total, n = 0, 1
+    while n <= u:
+        q = u // n
+        last = u // q
+        total += q * (last - n + 1)
+        n = last + 1
+    return total
+
+
+class TestBlockedHyperbola:
+    @pytest.mark.parametrize(
+        "s", [1, 2, 7, _kernels.BLOCK - 1, _kernels.BLOCK, _kernels.BLOCK + 1, 2 * _kernels.BLOCK]
+    )
+    def test_block_edges(self, s):
+        # isqrt(u) == s for each u, from the perfect square s*s up to (s+1)**2 - 1
+        for u in (s * s, s * s + 1, s * s + s, (s + 1) * (s + 1) - 1):
+            got = _kernels._hyperbola_dsum_np(u)
+            assert got == _kernels._hyperbola_dsum_nb(u)
+            assert got == dsum_quotient_blocks(u)
+
+    def test_limit_keeps_int64_partial_sums(self):
+        limit = _kernels.HYPERBOLA_MAX_U
+        assert limit * (1 + math.log(_kernels.BLOCK)) < 2**63
+        assert 2 * limit * (1 + math.log(math.isqrt(limit))) < 2**63
+
+    def test_budget_raises_before_work(self, monkeypatch):
+        def must_not_run(u):
+            raise AssertionError("kernel ran above the budget")
+
+        monkeypatch.setattr(_kernels, "_hyperbola_dsum_np", must_not_run)
+        monkeypatch.setattr(_kernels, "_hyperbola_dsum_nb", must_not_run)
+        for backend in ("numpy", "numba"):
+            with pytest.raises(ResourceError):
+                _kernels.hyperbola_dsum(_kernels.HYPERBOLA_MAX_U + 1, backend=backend)
+        with pytest.raises(ResourceError):
+            summatory_hyperbola(1e30)
+        with pytest.raises(ResourceError):
+            delta(1e30)
 
 
 class TestDivisorBound:
@@ -193,6 +251,9 @@ class TestDeltaScan:
             delta_scan(0.5, 4, 1)
         with pytest.raises(DomainError):
             delta_scan(1, 4, 0)
+        for bad in ((1, math.inf, 1), (1, 4, math.nan), (1, 4, math.inf), (math.nan, 4, 1)):
+            with pytest.raises(DomainError):
+                delta_scan(*bad)
 
     def test_jumps_only_at_integers(self):
         pts = delta_scan(2.5, 40.5, 0.5)
@@ -238,10 +299,6 @@ class TestBackends:
         assert np.array_equal(
             _kernels.unit_convolve(prev, backend="numba"),
             _kernels.unit_convolve(prev, backend="numpy"),
-        )
-        assert np.array_equal(
-            _kernels.trial_division_counts(n, backend="numba"),
-            _kernels.trial_division_counts(n, backend="numpy"),
         )
         for x in (1, 10, 999, 10**6, 10**9):
             assert _kernels.hyperbola_dsum(x, backend="numba") == _kernels.hyperbola_dsum(
