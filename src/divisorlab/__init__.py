@@ -5,7 +5,6 @@ the gap-construction identities, all cross-checked against independent
 oracles.
 """
 
-from ._accel import BACKEND, HAVE_NUMBA, USE_NUMBA
 from .divisor_core import (
     EULER_GAMMA,
     DivisorTable,
@@ -21,10 +20,13 @@ from .errors import DivisorLabError, DomainError, PrecisionError, ResourceError
 
 __version__ = "0.1.0"
 
+# The benchmark's run record reads these; the kernels are NumPy only.
+BACKEND = "numpy"
+HAVE_NUMBA = False
+
 __all__ = [
     "BACKEND",
     "HAVE_NUMBA",
-    "USE_NUMBA",
     "EULER_GAMMA",
     "DivisorTable",
     "SummatoryPoint",

@@ -22,7 +22,7 @@ from . import (
     verify,
     voronoi,
 )
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, read_json
 from .descriptors import PowerFn
 from .errors import DomainError, PrecisionError, ResourceError
 
@@ -39,6 +39,23 @@ def _parse_complex(text):
     if len(parts) == 2:
         return complex(float(parts[0]), float(parts[1]))
     raise argparse.ArgumentTypeError(f"expected RE or RE,IM; got {text!r}")
+
+
+def positive_int(text):
+    """argparse type for counts: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    return value
+
+
+def _load_coeffs(path):
+    """The c1 and c2 arrays of a ``construct lambda --coeffs`` file."""
+    raw = read_json(path)
+    try:
+        return np.asarray(raw["c1"], dtype=np.float64), np.asarray(raw["c2"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError):
+        raise DomainError(f"coeffs {path} must be an object with c1 and c2 number arrays") from None
 
 
 def _write_text(path, text):
@@ -104,7 +121,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a named check suite")
     p.add_argument("suite", choices=verify.SUITES + ("all",))
-    p.add_argument("--count", type=int, default=None)
+    p.add_argument("--count", type=positive_int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)
@@ -113,10 +130,10 @@ def build_parser():
     vsub = p.add_subparsers(dest="subcommand", required=True)
     pe = vsub.add_parser("eval")
     pe.add_argument("--x", type=float, required=True)
-    pe.add_argument("--terms", type=int, required=True)
+    pe.add_argument("--terms", type=positive_int, required=True)
     pe.add_argument("--kernel-order", type=int, default=0)
     ps = vsub.add_parser("slope")
-    ps.add_argument("--count", type=int, default=50)
+    ps.add_argument("--count", type=positive_int, default=50)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--out", default=None)
 
@@ -128,7 +145,7 @@ def build_parser():
     tv.add_argument("--m0", type=int, required=True)
     tv.add_argument("--x", type=_parse_complex, required=True, metavar="RE,IM")
     tw = tsub.add_parser("sweep")
-    tw.add_argument("--count", type=int, default=100)
+    tw.add_argument("--count", type=positive_int, default=100)
     tw.add_argument("--seed", type=int, default=0)
     tw.add_argument("--out", default=None)
 
@@ -138,17 +155,17 @@ def build_parser():
     s33.add_argument("--exponent", type=float, default=2.0)
     s33.add_argument("--a", type=float, default=0.5)
     s33.add_argument("--b", type=float, default=10.5)
-    s33.add_argument("--terms", type=int, default=100)
+    s33.add_argument("--terms", type=positive_int, default=100)
     s23 = ssub.add_parser("lemma23")
     s23.add_argument("--a", type=float, default=30.1)
     s23.add_argument("--b", type=float, default=31.4)
     s23.add_argument("--h0", type=float, default=0.1)
     s23.add_argument("--exponent", type=float, default=-0.25)
-    s23.add_argument("--terms", type=int, default=100)
+    s23.add_argument("--terms", type=positive_int, default=100)
     s25 = ssub.add_parser("lemma25")
     s25.add_argument("--x", type=float, default=31.62)
     s25.add_argument("--h0", type=float, default=0.01)
-    s25.add_argument("--terms", type=int, default=100)
+    s25.add_argument("--terms", type=positive_int, default=100)
 
     p = sub.add_parser("expsum", help="divisor exponential sums")
     esub = p.add_subparsers(dest="subcommand", required=True)
@@ -159,7 +176,7 @@ def build_parser():
     ee.add_argument("--a", type=float, required=True)
     ee.add_argument("--b", type=float, required=True)
     ew = esub.add_parser("sweep")
-    ew.add_argument("--count", type=int, default=200)
+    ew.add_argument("--count", type=positive_int, default=200)
     ew.add_argument("--seed", type=int, default=0)
     ew.add_argument("--out", default=None)
 
@@ -177,7 +194,7 @@ def build_parser():
     cc = csub.add_parser("check")
     cc.add_argument("--u", type=int, required=True)
     cc.add_argument("--c0", type=float, default=200.0)
-    cc.add_argument("--samples", type=int, default=1000)
+    cc.add_argument("--samples", type=positive_int, default=1000)
     cc.add_argument("--seed", type=int, default=0)
     cl = csub.add_parser("lambda")
     cl.add_argument("--coeffs", required=True, help="JSON file with c1[], c2[] arrays")
@@ -369,14 +386,11 @@ def _cmd_construct(args):
         ok = out["in_band_rate"] == 1.0 and out["zero_count_rate"] == 1.0
         return EXIT_OK if ok else EXIT_VERIFY_FAIL
     if args.subcommand == "lambda":
-        with open(args.coeffs) as fh:
-            raw = json.load(fh)
+        c1, c2 = _load_coeffs(args.coeffs)
         x2 = args.x2 if args.x2 is not None else args.x
         p = construction.build_params(args.x, x2, args.c0)
-        value = construction.lambda_evaluator(
-            args.x, p, raw["c1"], raw["c2"], args.n_cut
-        )
-        ceiling = construction.lambda_triangle_ceiling(p, raw["c1"], raw["c2"], args.n_cut)
+        value = construction.lambda_evaluator(args.x, p, c1, c2, args.n_cut)
+        ceiling = construction.lambda_triangle_ceiling(p, c1, c2, args.n_cut)
         _emit_json({"lambda": value, "triangle_ceiling": ceiling, "x": args.x,
                     "k_diff": p.k_diff, "m0": p.m0})
         return EXIT_OK

@@ -6,16 +6,14 @@ The config file is plain JSON with these keys (all optional):
     tolerances    object, check-name -> threshold override
     seed          int, base seed for every randomized sweep
     output        {"path": str, "format": "csv"|"json"}
-    thread_count  int or "auto"; kernels are single-threaded and
-                  deterministic, the knob is recorded for downstream
-                  schedulers and honored from DIVISORLAB_THREADS
+
+Other keys are ignored; a malformed file raises DomainError.
 
 Identical (config, seed) pairs produce byte-identical outputs.
 """
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 
 from .divisor_core import DEFAULT_SIEVE_BUDGET
@@ -29,21 +27,19 @@ class RunConfig:
     seed: int = 0
     output_path: str = None
     output_format: str = "csv"
-    thread_count: object = "auto"
 
     def __post_init__(self):
         for name, tol in self.tolerances.items():
-            if float(tol) < 0:
-                raise DomainError(f"tolerance override {name!r} must be >= 0, got {tol}")
+            try:
+                ok = float(tol) >= 0
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise DomainError(f"tolerance override {name!r} must be a number >= 0, got {tol!r}")
         if self.output_format not in ("csv", "json"):
             raise DomainError(f"output format must be csv or json, got {self.output_format}")
-        env_threads = os.environ.get("DIVISORLAB_THREADS")
-        if env_threads:
-            self.thread_count = int(env_threads)
 
     def canonical(self):
-        # thread_count is deliberately excluded: outputs are byte-identical
-        # under any thread setting, so it must not shift the hash
         return {
             "sieve_limit": self.sieve_limit,
             "tolerances": dict(sorted(self.tolerances.items())),
@@ -57,9 +53,20 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()
 
 
-def load_config(path):
+def read_json(path):
+    """The parsed contents of a JSON file, or DomainError with one line."""
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+            raise DomainError(f"{path} is not valid JSON: {exc}") from None
+
+
+def load_config(path):
+    raw = read_json(path)
+    sections = ("output", "tolerances")
+    if not isinstance(raw, dict) or not all(isinstance(raw.get(k, {}), dict) for k in sections):
+        raise DomainError(f"config {path} must be an object whose output and tolerances are objects")
     out = raw.get("output", {})
     return RunConfig(
         sieve_limit=raw.get("sieve_limit", DEFAULT_SIEVE_BUDGET),
@@ -67,5 +74,4 @@ def load_config(path):
         seed=raw.get("seed", 0),
         output_path=out.get("path"),
         output_format=out.get("format", "csv"),
-        thread_count=raw.get("thread_count", "auto"),
     )

@@ -332,7 +332,7 @@ def construct_check(u, c0, samples, seed, m0_factor=1):
 
 # ----------------------------------------------------- Lambda evaluator
 
-def lambda_evaluator(x, p, c1, c2, n_cut, table=None, backend=None):
+def lambda_evaluator(x, p, c1, c2, n_cut, table=None):
     """Linear-in-coefficients double series
 
         Lambda(X) = X/(m0+1)^2 sum_{a<=4K} C1(a) S_{5/4}(a)
@@ -348,13 +348,9 @@ def lambda_evaluator(x, p, c1, c2, n_cut, table=None, backend=None):
     c1 = np.asarray(c1, dtype=np.float64)
     c2 = np.asarray(c2, dtype=np.float64)
     if c1.shape != (4 * p.k_diff,):
-        raise DomainError(
-            f"C1 must have length 4K = {4 * p.k_diff}, got {c1.shape[0]}"
-        )
+        raise DomainError(f"C1 must have length 4K = {4 * p.k_diff}, got {c1.size}")
     if c2.shape != (4 * p.k_diff + 2,):
-        raise DomainError(
-            f"C2 must have length 4K+2 = {4 * p.k_diff + 2}, got {c2.shape[0]}"
-        )
+        raise DomainError(f"C2 must have length 4K+2 = {4 * p.k_diff + 2}, got {c2.size}")
     n_limit = int(min(n_cut, math.floor(p.x2 * p.log_x2**2 / p.v_window)))
     if n_limit < 1:
         return 0.0
@@ -376,7 +372,7 @@ def lambda_evaluator(x, p, c1, c2, n_cut, table=None, backend=None):
             x
             / (p.m0 + 1) ** 2
             * float(c1[a_idx])
-            * _kernels.cos_sum(w1, sqrtn, c, -3.0 * math.pi / 4.0, backend=backend)
+            * _kernels.cos_sum(w1, sqrtn, c, -3.0 * math.pi / 4.0)
         )
     for a_idx in np.nonzero(c2)[0]:
         a = int(a_idx) + 1
@@ -385,7 +381,7 @@ def lambda_evaluator(x, p, c1, c2, n_cut, table=None, backend=None):
             sx
             / (p.m0 + 1)
             * float(c2[a_idx])
-            * _kernels.cos_sum(w2, sqrtn, c, -5.0 * math.pi / 4.0, backend=backend)
+            * _kernels.cos_sum(w2, sqrtn, c, -5.0 * math.pi / 4.0)
         )
     return total
 
@@ -457,8 +453,7 @@ def toy_omega(u=10**6, k_steps=8, m0=4, j_cap=40, c0=200.0):
 
 # ------------------------------------------------- exponent diagnostics
 
-def delta_exponent_scan(x_hi, table=None, backend=None,
-                        budget=divisor_core.DEFAULT_SIEVE_BUDGET):
+def delta_exponent_scan(x_hi, table=None, budget=divisor_core.DEFAULT_SIEVE_BUDGET):
     """Dyadic-block diagnostics of the error term up to x_hi.
 
     Per block [2^t, 2^(t+1)): max |delta|, sign-change count; fitted are
@@ -469,7 +464,7 @@ def delta_exponent_scan(x_hi, table=None, backend=None,
     if t_max < 4:
         raise DomainError(f"need at least 4 dyadic blocks, got x_hi = {x_hi}")
     if table is None:
-        table = divisor_core.sieve_divisors(x_hi, 2, budget=budget, backend=backend)
+        table = divisor_core.sieve_divisors(x_hi, 2, budget=budget)
     cumsum = table.summatory()
     xs = np.arange(1, x_hi + 1, dtype=np.float64)
     deltas = cumsum[1:].astype(np.float64) - xs * np.log(xs) - (2 * divisor_core.EULER_GAMMA - 1) * xs

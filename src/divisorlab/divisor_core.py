@@ -109,7 +109,7 @@ def divisor_count_lambda(n, lam):
     return out
 
 
-def sieve_divisors(n, lam=2, budget=DEFAULT_SIEVE_BUDGET, backend=None):
+def sieve_divisors(n, lam=2, budget=DEFAULT_SIEVE_BUDGET):
     """DivisorTable of d_lambda(m) for m <= N via lam-1 convolution passes."""
     if n < 1:
         raise DomainError(f"sieve limit must be >= 1, got {n}")
@@ -120,20 +120,20 @@ def sieve_divisors(n, lam=2, budget=DEFAULT_SIEVE_BUDGET, backend=None):
             f"sieve needs {n + 1} entries but the budget is {budget}; "
             "raise the sieve_limit budget to proceed"
         )
-    values = _kernels.divisor_sieve(n, backend=backend)
+    values = _kernels.divisor_sieve(n)
     for _ in range(lam - 2):
-        values = _kernels.unit_convolve(values, backend=backend)
+        values = _kernels.unit_convolve(values)
     return DivisorTable(limit=n, order=lam, values=values)
 
 
-def summatory_hyperbola(x, backend=None):
+def summatory_hyperbola(x):
     """Exact D(floor(X)) in O(sqrt X) integer operations."""
     if not 1 <= x < math.inf:
         raise DomainError(f"summatory_hyperbola needs a finite X >= 1, got {x}")
-    return _kernels.hyperbola_dsum(int(math.floor(x)), backend=backend)
+    return _kernels.hyperbola_dsum(int(math.floor(x)))
 
 
-def delta(x, table=None, backend=None):
+def delta(x, table=None):
     """SummatoryPoint at X: exact D(floor(X)) plus floating delta(X)."""
     if not 1 <= x < math.inf:
         raise DomainError(f"delta needs a finite X >= 1, got {x}")
@@ -141,7 +141,7 @@ def delta(x, table=None, backend=None):
     if table is not None and table.limit >= u and table.order == 2:
         d_sum = int(table.summatory()[u])
     else:
-        d_sum = summatory_hyperbola(u, backend=backend)
+        d_sum = summatory_hyperbola(u)
     x = float(x)
     return SummatoryPoint(x=x, d_sum=d_sum, delta=d_sum - x * math.log(x) - (2 * EULER_GAMMA - 1) * x)
 
@@ -154,7 +154,7 @@ def delta_from_cumsum(x, cumsum):
     return SummatoryPoint(x=x, d_sum=d_sum, delta=d_sum - x * math.log(x) - (2 * EULER_GAMMA - 1) * x)
 
 
-def delta_scan(x_lo, x_hi, step, table=None, budget=DEFAULT_SIEVE_BUDGET, backend=None):
+def delta_scan(x_lo, x_hi, step, table=None, budget=DEFAULT_SIEVE_BUDGET):
     """SummatoryPoints on the grid x_lo, x_lo+step, ..., <= x_hi."""
     if not (1 <= x_lo <= x_hi < math.inf and 0 < step < math.inf):
         raise DomainError(
@@ -168,9 +168,9 @@ def delta_scan(x_lo, x_hi, step, table=None, budget=DEFAULT_SIEVE_BUDGET, backen
         cumsum = table.summatory()
         return [delta_from_cumsum(x, cumsum) for x in xs]
     if top + 1 <= budget:
-        cumsum = sieve_divisors(top, 2, budget=budget, backend=backend).summatory()
+        cumsum = sieve_divisors(top, 2, budget=budget).summatory()
         return [delta_from_cumsum(x, cumsum) for x in xs]
-    return [delta(x, backend=backend) for x in xs]
+    return [delta(x) for x in xs]
 
 
 # ---------------------------------------------------------------- output

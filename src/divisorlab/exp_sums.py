@@ -48,7 +48,7 @@ class ExpSumSpec:
             raise DomainError(f"need X > 1, got {self.x}")
 
 
-def exp_sum_exact(spec, table=None, backend=None):
+def exp_sum_exact(spec, table=None):
     """Direct compensated summation of the defining sum."""
     if spec.b <= spec.a:
         return 0.0
@@ -64,15 +64,13 @@ def exp_sum_exact(spec, table=None, backend=None):
     w = table.values[lo + 1 : hi + 1].astype(np.float64) * n ** (-spec.alpha)
     if spec.weight is not None:
         w = w * np.asarray(spec.weight(n), dtype=np.float64)
-    return _kernels.cos_sum(
-        w, np.sqrt(n), 4.0 * math.pi * math.sqrt(spec.x), spec.beta, backend=backend
-    )
+    return _kernels.cos_sum(w, np.sqrt(n), 4.0 * math.pi * math.sqrt(spec.x), spec.beta)
 
 
-def exp_sum_bound_ratio(spec, table=None, backend=None):
+def exp_sum_bound_ratio(spec, table=None):
     """|H| / ((a^(1/4-alpha) + b^(1/4-alpha)) X^(1/4)), divided by the
     weight scale M for weighted sums."""
-    h = exp_sum_exact(spec, table=table, backend=backend)
+    h = exp_sum_exact(spec, table=table)
     envelope = (
         spec.a ** (0.25 - spec.alpha) + spec.b ** (0.25 - spec.alpha)
     ) * spec.x**0.25
@@ -113,7 +111,7 @@ def random_spec(rng, x_max=10**6, weighted=False, alpha_pool=(0.0, 0.25, 0.5, 1.
     return ExpSumSpec(x=x, alpha=alpha, beta=beta, a=a, b=b)
 
 
-def expsum_sweep(count, seed, x_max=10**6, weighted_share=0.2, table=None, backend=None):
+def expsum_sweep(count, seed, x_max=10**6, weighted_share=0.2, table=None):
     """Bound-ratio sweep rows: dicts with the sampled parameters and ratio."""
     rng = np.random.default_rng(seed)
     if table is None:
@@ -122,7 +120,7 @@ def expsum_sweep(count, seed, x_max=10**6, weighted_share=0.2, table=None, backe
     for _ in range(count):
         weighted = rng.uniform() < weighted_share
         spec = random_spec(rng, x_max=x_max, weighted=weighted)
-        ratio = exp_sum_bound_ratio(spec, table=table, backend=backend)
+        ratio = exp_sum_bound_ratio(spec, table=table)
         rows.append(
             {
                 "x": spec.x,

@@ -425,7 +425,7 @@ def smoothed_delta_average(x, h0, n_terms, alpha0=1, table=None,
         raise DomainError(f"need x >= 0.9, got {x}")
     if h0 <= 0:
         raise DomainError(f"need h0 > 0, got {h0}")
-    need = int(math.floor((x + h0) ** 2)) + 1
+    need = max(int(math.floor((x + h0) ** 2)) + 1, n_terms)
     if table is None:
         table = divisor_core.sieve_divisors(need, 2, budget=budget)
     elif table.limit < need:
@@ -451,7 +451,7 @@ def weighted_delta_average(x, h1, h2, weight, n_terms, alpha0=1, table=None,
         raise DomainError(f"need h1 < h2, got [{h1}, {h2}]")
     if x + h1 < 0.9:
         raise DomainError(f"need x + h1 >= 0.9, got {x + h1}")
-    need = int(math.floor((x + h2) ** 2)) + 1
+    need = max(int(math.floor((x + h2) ** 2)) + 1, n_terms)
     if table is None:
         table = divisor_core.sieve_divisors(need, 2, budget=budget)
     elif table.limit < need:

@@ -175,7 +175,7 @@ def _require_non_integer(x):
         )
 
 
-def _series_weights(n_terms, exponent, table, backend=None):
+def _series_weights(n_terms, exponent, table):
     if table is None or table.limit < n_terms or table.order != 2:
         table = divisor_core.sieve_divisors(n_terms, 2)
     n = np.arange(1, n_terms + 1, dtype=np.float64)
@@ -183,32 +183,32 @@ def _series_weights(n_terms, exponent, table, backend=None):
     return w, np.sqrt(n)
 
 
-def truncated_delta(x, n_terms, table=None, eps=BOUND_EPS, backend=None):
+def truncated_delta(x, n_terms, table=None, eps=BOUND_EPS):
     """Single-phase N-term series vs exact delta(x)."""
     _require_non_integer(x)
     if n_terms < 1:
         raise DomainError(f"need at least one term, got {n_terms}")
-    w, sqrtn = _series_weights(n_terms, -0.75, table, backend=backend)
-    total = _kernels.cos_sum(w, sqrtn, 4.0 * math.pi * math.sqrt(x), -math.pi / 4.0, backend=backend)
+    w, sqrtn = _series_weights(n_terms, -0.75, table)
+    total = _kernels.cos_sum(w, sqrtn, 4.0 * math.pi * math.sqrt(x), -math.pi / 4.0)
     approx = x**0.25 / (math.pi * math.sqrt(2.0)) * total
-    exact = divisor_core.delta(x, table=None, backend=backend).delta
+    exact = divisor_core.delta(x, table=None).delta
     return SeriesResidual(x=float(x), n_terms=n_terms, approx=approx, exact=exact, eps=eps)
 
 
-def phi_correction_series(x, n_terms, table=None, backend=None):
+def phi_correction_series(x, n_terms, table=None):
     """The alpha = 1 correction series alone (beta_1 term of phi)."""
-    w, sqrtn = _series_weights(n_terms, -1.25, table, backend=backend)
-    total = _kernels.cos_sum(w, sqrtn, 4.0 * math.pi * math.sqrt(x), math.pi / 4.0, backend=backend)
+    w, sqrtn = _series_weights(n_terms, -1.25, table)
+    total = _kernels.cos_sum(w, sqrtn, 4.0 * math.pi * math.sqrt(x), math.pi / 4.0)
     return x**0.25 / (math.pi * math.sqrt(2.0)) * (3.0 / (8.0 * 4.0 * math.pi)) * x**-0.5 * total
 
 
-def phi_series_delta(x, n_terms, table=None, eps=BOUND_EPS, backend=None):
+def phi_series_delta(x, n_terms, table=None, eps=BOUND_EPS):
     """Two-phase kernel series (alpha0 = 1) vs exact delta(x)."""
     _require_non_integer(x)
     if n_terms < 1:
         raise DomainError(f"need at least one term, got {n_terms}")
-    base = truncated_delta(x, n_terms, table=table, eps=eps, backend=backend)
-    approx = base.approx + phi_correction_series(x, n_terms, table=table, backend=backend)
+    base = truncated_delta(x, n_terms, table=table, eps=eps)
+    approx = base.approx + phi_correction_series(x, n_terms, table=table)
     return SeriesResidual(x=float(x), n_terms=n_terms, approx=approx, exact=base.exact, eps=eps)
 
 
@@ -234,7 +234,6 @@ def convergence_report(
     seed=0,
     width_frac=0.1,
     table=None,
-    backend=None,
 ):
     """Median-residual decay of the truncated series.
 
@@ -257,9 +256,9 @@ def convergence_report(
         rows = {nv: [] for nv in n_values}
         for x in decade_ensemble(x_base, count=count, seed=seed, width_frac=width_frac):
             partials = _kernels.cos_sum_checkpoints(
-                w, sqrtn, 4.0 * math.pi * math.sqrt(x), -math.pi / 4.0, stops, backend=backend
+                w, sqrtn, 4.0 * math.pi * math.sqrt(x), -math.pi / 4.0, stops
             )
-            exact = divisor_core.delta(x, backend=backend).delta
+            exact = divisor_core.delta(x).delta
             pref = x**0.25 / (math.pi * math.sqrt(2.0))
             for nv, p in zip(n_values, partials):
                 r = abs(pref * p - exact)

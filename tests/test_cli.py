@@ -1,10 +1,14 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from divisorlab import cli
+from divisorlab.config import load_config
 
 
 def run(capsys, *argv):
@@ -234,3 +238,84 @@ class TestVerifyDeterminism:
             )
             assert code == 0
         assert r1.read_bytes() == r2.read_bytes()
+
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+KNOB_COMMANDS = (("compute", "--x", "10"), ("verify", "coeffs"))
+
+
+def run_process(argv, **env):
+    """The CLI in a fresh interpreter, so that import-time code sees ``env``."""
+    full = {k: v for k, v in os.environ.items() if not k.startswith("DIVISORLAB_")}
+    full.update(env, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from divisorlab.cli import main; sys.exit(main())", *argv],
+        capture_output=True, env=full, check=False,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestRemovedKnobs:
+    @pytest.fixture(scope="class")
+    def unset(self):
+        return {argv: run_process(argv) for argv in KNOB_COMMANDS}
+
+    @pytest.mark.parametrize(
+        "env",
+        [{"DIVISORLAB_BACKEND": "numba"}, {"DIVISORLAB_BACKEND": "bogus"}, {"DIVISORLAB_THREADS": "abc"}],
+        ids=["backend-numba", "backend-bogus", "threads-abc"],
+    )
+    def test_environment_ignored(self, unset, env):
+        for argv in KNOB_COMMANDS:
+            got = run_process(argv, **env)
+            assert got[0] == 0
+            assert got == unset[argv]
+
+    def test_config_with_thread_count_loads(self, tmp_path):
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_text(json.dumps({"seed": 3, "thread_count": 4}))
+        new.write_text(json.dumps({"seed": 3}))
+        assert load_config(old).config_hash() == load_config(new).config_hash()
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "theta", "--count", "0"),
+            ("verify", "voronoi", "--count", "0"),
+            ("verify", "construct", "--count", "0"),
+            ("verify", "coeffs", "--count", "-5"),
+            ("sumcheck", "lemma33", "--terms", "0"),
+            ("sumcheck", "lemma33", "--terms", "-1"),
+            ("construct", "check", "--u", "3", "--samples", "0"),
+        ],
+    )
+    def test_counts_below_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err and ">= 1" in err
+
+    @pytest.mark.parametrize(
+        "text, argv",
+        [
+            ("{not json", ("verify", "coeffs", "--config")),
+            ("[1, 2]", ("verify", "coeffs", "--config")),
+            (json.dumps({"tolerances": [1]}), ("verify", "coeffs", "--config")),
+            (json.dumps({"tolerances": {"theta-identity": "tight"}}), ("verify", "coeffs", "--config")),
+            (json.dumps({"c1": [0.0]}), ("construct", "lambda", "--x", "1e4", "--coeffs")),
+            (json.dumps({"c1": 5, "c2": 5}), ("construct", "lambda", "--x", "1e4", "--coeffs")),
+        ],
+        ids=[
+            "config-bad-json", "config-list", "config-tolerances-list", "config-text-tolerance",
+            "coeffs-no-c2", "coeffs-scalar",
+        ],
+    )
+    def test_input_file_one_line(self, capsys, tmp_path, text, argv):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("domain error:")

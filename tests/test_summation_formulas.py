@@ -12,7 +12,7 @@ from divisorlab.descriptors import (
     descriptor_from_json,
 )
 from divisorlab.divisor_core import EULER_GAMMA
-from divisorlab.errors import DomainError
+from divisorlab.errors import DomainError, ResourceError
 
 
 class TestFourierSum:
@@ -213,6 +213,23 @@ class TestSmoothedDeltaAverage:
         plain = smf.smoothed_delta_average(x, h0, 150, table=table_1e4)
         assert w.lhs == pytest.approx(plain.lhs * h0, abs=1e-9)
         assert w.rhs == pytest.approx(plain.rhs * h0, abs=1e-12)
+
+    def test_table_covers_n_terms(self):
+        # (x + h)^2 ~ 1000 < n_terms: the table must reach n_terms too
+        x, h0, n_terms = 31.62, 0.01, 1500
+        wide = divisor_core.sieve_divisors(3000, 2)
+        short = divisor_core.sieve_divisors(1100, 2)
+        assert smf.smoothed_delta_average(x, h0, n_terms) == smf.smoothed_delta_average(
+            x, h0, n_terms, table=wide
+        )
+        one = ConstantFn(1.0)
+        assert smf.weighted_delta_average(x, 0.0, h0, one, n_terms) == smf.weighted_delta_average(
+            x, 0.0, h0, one, n_terms, table=wide
+        )
+        with pytest.raises(ResourceError):
+            smf.smoothed_delta_average(x, h0, n_terms, table=short)
+        with pytest.raises(ResourceError):
+            smf.weighted_delta_average(x, 0.0, h0, one, n_terms, table=short)
 
     def test_domain(self):
         with pytest.raises(DomainError):
