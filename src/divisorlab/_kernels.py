@@ -22,7 +22,7 @@ BLOCK = 1 << 16
 HYPERBOLA_MAX_U = 2 * 10**17
 
 
-# ----------------------------------------------------------------- sieves
+# ------------------------------------------------------------------ sieve
 
 def divisor_sieve(n):
     """d(n) for 1 <= n <= N as an int64 array indexed by n (slot 0 unused)."""
@@ -30,15 +30,6 @@ def divisor_sieve(n):
     for i in range(1, math.isqrt(n) + 1):
         out[i * i :: i] += 2
         out[i * i] -= 1
-    return out
-
-
-def unit_convolve(prev):
-    """One Dirichlet-convolution pass against the unit function."""
-    n = prev.shape[0] - 1
-    out = np.zeros(n + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        out[i::i] += prev[i]
     return out
 
 

@@ -131,7 +131,7 @@ def build_parser():
     pe = vsub.add_parser("eval")
     pe.add_argument("--x", type=float, required=True)
     pe.add_argument("--terms", type=positive_int, required=True)
-    pe.add_argument("--kernel-order", type=int, default=0)
+    pe.add_argument("--kernel-order", type=int, choices=(0, 1), default=0)
     ps = vsub.add_parser("slope")
     ps.add_argument("--count", type=positive_int, default=50)
     ps.add_argument("--seed", type=int, default=0)

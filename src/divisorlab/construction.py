@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, divisor_core
-from .errors import DomainError, PrecisionError, ResourceError
+from .errors import DomainError, PrecisionError, ResourceError, require_count
 
 #: largest U for which the split arithmetic keeps full float headroom
 MAX_U = 1 << 50
@@ -137,11 +137,6 @@ class TupleChoice:
     j: int
     k1: int
     eta_count: int
-
-    def eta_bits(self, k_diff):
-        bits = np.zeros(k_diff, dtype=np.int8)
-        bits[: self.eta_count] = 1
-        return bits
 
 
 def _eta_count(eta_choice):
@@ -271,6 +266,7 @@ def sample_unconstrained(p, rng):
 
 def admissible_sweep(p, samples, seed):
     """Band and empty-interval rates over seeded admissible tuples."""
+    require_count("samples", samples)
     rng = np.random.default_rng(seed)
     in_band = 0
     zero_count = 0
@@ -355,7 +351,7 @@ def lambda_evaluator(x, p, c1, c2, n_cut, table=None):
     if n_limit < 1:
         return 0.0
     if table is None:
-        table = divisor_core.sieve_divisors(n_limit, 2)
+        table = divisor_core.sieve_divisors(n_limit)
     elif table.limit < n_limit:
         raise ResourceError(f"table covers {table.limit}, need {n_limit}")
     n = np.arange(1, n_limit + 1, dtype=np.float64)
@@ -392,7 +388,7 @@ def lambda_triangle_ceiling(p, c1, c2, n_cut, table=None):
     c2 = np.asarray(c2, dtype=np.float64)
     n_limit = int(min(n_cut, math.floor(p.x2 * p.log_x2**2 / p.v_window)))
     if table is None:
-        table = divisor_core.sieve_divisors(n_limit, 2)
+        table = divisor_core.sieve_divisors(n_limit)
     n = np.arange(1, n_limit + 1, dtype=np.float64)
     dn = table.values[1 : n_limit + 1].astype(np.float64)
     s1 = float(np.sum(dn * n**-1.25))
@@ -464,7 +460,7 @@ def delta_exponent_scan(x_hi, table=None, budget=divisor_core.DEFAULT_SIEVE_BUDG
     if t_max < 4:
         raise DomainError(f"need at least 4 dyadic blocks, got x_hi = {x_hi}")
     if table is None:
-        table = divisor_core.sieve_divisors(x_hi, 2, budget=budget)
+        table = divisor_core.sieve_divisors(x_hi, budget=budget)
     cumsum = table.summatory()
     xs = np.arange(1, x_hi + 1, dtype=np.float64)
     deltas = cumsum[1:].astype(np.float64) - xs * np.log(xs) - (2 * divisor_core.EULER_GAMMA - 1) * xs

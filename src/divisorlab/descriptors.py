@@ -1,18 +1,14 @@
-"""Closed vocabulary of function descriptors used at interface boundaries.
+"""Integrand descriptors: a constant and a power.
 
-Sums and averages that take an integrand accept one of these instead of a
-bare callable so that CLI runs and reports can serialize the exact spec
-that was checked.  The vocabulary: constant, power, power*cosine, and a
-tabulated function (cubic spline).  Analytic descriptors with a disk
-bound live in ``exp_sums`` where the difference operator needs them.
+Sums and averages that take an integrand accept one of these frozen,
+comparable values instead of a bare callable.  Analytic descriptors with
+a disk bound live in ``exp_sums`` where the difference operator needs
+them.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -23,12 +19,6 @@ class ConstantFn:
         x = np.asarray(x, dtype=np.float64)
         out = np.full_like(x, float(self.value))
         return out if out.ndim else float(out)
-
-    def derivative_bound(self, a, b, k):
-        return 0.0 if k >= 1 else abs(self.value)
-
-    def to_json(self):
-        return {"kind": "constant", "value": self.value}
 
 
 @dataclass(frozen=True)
@@ -41,92 +31,3 @@ class PowerFn:
     def __call__(self, x):
         out = self.coef * np.power(np.asarray(x, dtype=np.float64), self.exponent)
         return out if out.ndim else float(out)
-
-    def derivative_bound(self, a, b, k):
-        c = abs(self.coef)
-        p = self.exponent
-        for i in range(k):
-            c *= abs(p - i)
-        if c == 0:
-            return 0.0
-        lo, hi = a ** (p - k), b ** (p - k)
-        return c * max(abs(lo), abs(hi))  # monotone power: extremes at ends
-
-    def to_json(self):
-        return {"kind": "power", "exponent": self.exponent, "coef": self.coef}
-
-
-@dataclass(frozen=True)
-class PowerCosineFn:
-    """coef * x**exponent * cos(freq * x + phase)."""
-
-    exponent: float
-    freq: float
-    phase: float = 0.0
-    coef: float = 1.0
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        out = self.coef * np.power(x, self.exponent) * np.cos(self.freq * x + self.phase)
-        return out if out.ndim else float(out)
-
-    def derivative_bound(self, a, b, k):
-        # product rule ceiling: sum_j C(k,j) |freq|^j * bound(power, k-j)
-        base = PowerFn(self.exponent, self.coef)
-        total = 0.0
-        for j in range(k + 1):
-            total += math.comb(k, j) * abs(self.freq) ** j * base.derivative_bound(a, b, k - j)
-        return total
-
-    def to_json(self):
-        return {
-            "kind": "power_cosine",
-            "exponent": self.exponent,
-            "freq": self.freq,
-            "phase": self.phase,
-            "coef": self.coef,
-        }
-
-
-@dataclass(frozen=True)
-class TabulatedFn:
-    """Cubic-spline interpolant of user-supplied samples."""
-
-    xs: tuple
-    ys: tuple
-
-    def _spline(self):
-        from scipy.interpolate import CubicSpline
-
-        return CubicSpline(np.asarray(self.xs), np.asarray(self.ys))
-
-    def __call__(self, x):
-        out = self._spline()(np.asarray(x, dtype=np.float64))
-        return out if out.ndim else float(out)
-
-    def derivative_bound(self, a, b, k):
-        grid = np.linspace(a, b, 4097)
-        return float(np.max(np.abs(self._spline().derivative(k)(grid))))
-
-    def to_json(self):
-        return {"kind": "tabulated", "xs": list(self.xs), "ys": list(self.ys)}
-
-
-_KINDS = {
-    "constant": lambda d: ConstantFn(value=d.get("value", 1.0)),
-    "power": lambda d: PowerFn(exponent=d["exponent"], coef=d.get("coef", 1.0)),
-    "power_cosine": lambda d: PowerCosineFn(
-        exponent=d["exponent"],
-        freq=d["freq"],
-        phase=d.get("phase", 0.0),
-        coef=d.get("coef", 1.0),
-    ),
-    "tabulated": lambda d: TabulatedFn(xs=tuple(d["xs"]), ys=tuple(d["ys"])),
-}
-
-
-def descriptor_from_json(d):
-    kind = d.get("kind")
-    if kind not in _KINDS:
-        raise DomainError(f"unknown function descriptor kind {kind!r}")
-    return _KINDS[kind](d)

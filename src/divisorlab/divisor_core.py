@@ -1,11 +1,14 @@
-"""Exact divisor counts, their summatory functions and the error term.
+"""Exact divisor counts, their summatory function and the error term.
 
-d(n) and its order-lambda generalization (number of ordered lambda-tuples
-with product n) are computed three independent ways: per-n factorization,
-a batched convolution sieve, and - for the summatory function D(X) - the
-O(sqrt X) hyperbola identity
+A divisor-pair sieve tabulates d(n); the summatory function D(X) comes
+from that table's running sums or, at any X, from the O(sqrt X)
+hyperbola identity
 
     D(X) = 2 * sum_{n <= sqrt X} floor(X/n) - floor(sqrt X)**2.
+
+Per-n trial division (``divisor_count``) and the count of ordered
+lambda-tuples by factorization (``divisor_count_lambda``) are independent
+oracles for the tests.
 
 The error term is delta(X) = D(X) - X log X - (2*gamma - 1) X with D exact
 and only the smooth part in floating point.
@@ -31,19 +34,13 @@ DEFAULT_SIEVE_BUDGET = 2 * 10**8
 
 @dataclass(frozen=True)
 class DivisorTable:
-    """Sieved d_lambda(n) for 1 <= n <= limit; values[n] is d_lambda(n)."""
+    """Sieved d(n) for 1 <= n <= limit; values[n] is d(n)."""
 
     limit: int
-    order: int
     values: np.ndarray
 
     def __post_init__(self):
         self.values.flags.writeable = False
-
-    def value(self, n):
-        if not 1 <= n <= self.limit:
-            raise DomainError(f"n={n} outside table range [1, {self.limit}]")
-        return int(self.values[n])
 
     def summatory(self):
         """Cumulative sums: result[n] = sum_{m<=n} values[m].
@@ -110,20 +107,18 @@ def divisor_count_lambda(n, lam):
 
 
 def sieve_divisors(n, lam=2, budget=DEFAULT_SIEVE_BUDGET):
-    """DivisorTable of d_lambda(m) for m <= N via lam-1 convolution passes."""
+    """DivisorTable of d(m) for m <= N."""
     if n < 1:
         raise DomainError(f"sieve limit must be >= 1, got {n}")
-    if lam < 2:
-        raise DomainError(f"order lambda must be >= 2, got {lam}")
+    # lam only accepts 2: the benchmark's workloads pass that order positionally
+    if lam != 2:
+        raise DomainError(f"the sieve tabulates d(n), order lambda 2, got {lam}")
     if n + 1 > budget:
         raise ResourceError(
             f"sieve needs {n + 1} entries but the budget is {budget}; "
             "raise the sieve_limit budget to proceed"
         )
-    values = _kernels.divisor_sieve(n)
-    for _ in range(lam - 2):
-        values = _kernels.unit_convolve(values)
-    return DivisorTable(limit=n, order=lam, values=values)
+    return DivisorTable(limit=n, values=_kernels.divisor_sieve(n))
 
 
 def summatory_hyperbola(x):
@@ -138,7 +133,7 @@ def delta(x, table=None):
     if not 1 <= x < math.inf:
         raise DomainError(f"delta needs a finite X >= 1, got {x}")
     u = int(math.floor(x))
-    if table is not None and table.limit >= u and table.order == 2:
+    if table is not None and table.limit >= u:
         d_sum = int(table.summatory()[u])
     else:
         d_sum = summatory_hyperbola(u)
@@ -164,11 +159,11 @@ def delta_scan(x_lo, x_hi, step, table=None, budget=DEFAULT_SIEVE_BUDGET):
     count = int(math.floor((x_hi - x_lo) / step + 1e-9)) + 1
     xs = [x_lo + i * step for i in range(count)]
     top = int(math.floor(xs[-1]))
-    if table is not None and table.limit >= top and table.order == 2:
+    if table is not None and table.limit >= top:
         cumsum = table.summatory()
         return [delta_from_cumsum(x, cumsum) for x in xs]
     if top + 1 <= budget:
-        cumsum = sieve_divisors(top, 2, budget=budget).summatory()
+        cumsum = sieve_divisors(top, budget=budget).summatory()
         return [delta_from_cumsum(x, cumsum) for x in xs]
     return [delta(x) for x in xs]
 

@@ -5,6 +5,9 @@ ResourceError    -- a configured budget (memory, term count, operator order)
                     would be exceeded; message carries required vs available
 PrecisionError   -- the requested computation cannot be delivered at the
                     working precision / available series order
+
+``require_count`` is the shared DomainError check for term, node, sample
+and repetition counts.
 """
 
 
@@ -22,3 +25,9 @@ class ResourceError(DivisorLabError, RuntimeError):
 
 class PrecisionError(DivisorLabError, ArithmeticError):
     pass
+
+
+def require_count(name, value):
+    """Raise DomainError unless the count ``value`` is at least 1."""
+    if value < 1:
+        raise DomainError(f"{name} must be >= 1, got {value}")

@@ -55,9 +55,9 @@ def exp_sum_exact(spec, table=None):
     hi = int(math.floor(spec.b))
     lo = int(math.floor(spec.a))  # n > a means n >= floor(a)+1
     if table is None:
-        table = divisor_core.sieve_divisors(hi, 2)
-    elif table.limit < hi or table.order != 2:
-        raise ResourceError(f"table covers {table.limit} at order {table.order}, need {hi}")
+        table = divisor_core.sieve_divisors(hi)
+    elif table.limit < hi:
+        raise ResourceError(f"table covers {table.limit}, need {hi}")
     n = np.arange(lo + 1, hi + 1, dtype=np.float64)
     if n.size == 0:
         return 0.0
@@ -93,9 +93,6 @@ class InverseSqrtSumWeight:
     def scale(self, a):
         return 1.0 / (math.sqrt(self.x) + math.sqrt(a))
 
-    def to_json(self):
-        return {"kind": "inverse_sqrt_sum", "x": self.x}
-
 
 def random_spec(rng, x_max=10**6, weighted=False, alpha_pool=(0.0, 0.25, 0.5, 1.0, 3.0)):
     """One seeded random sum spec with b <= X and a documented alpha pool."""
@@ -115,7 +112,7 @@ def expsum_sweep(count, seed, x_max=10**6, weighted_share=0.2, table=None):
     """Bound-ratio sweep rows: dicts with the sampled parameters and ratio."""
     rng = np.random.default_rng(seed)
     if table is None:
-        table = divisor_core.sieve_divisors(int(x_max), 2)
+        table = divisor_core.sieve_divisors(int(x_max))
     rows = []
     for _ in range(count):
         weighted = rng.uniform() < weighted_share
@@ -207,9 +204,6 @@ class ExpGrowthFn:
     def disk_bound(self, r):
         return math.exp(abs(self.c) * r)
 
-    def derivative(self, k, z):
-        return self.c**k * math.exp(self.c * z)
-
 
 @dataclass(frozen=True)
 class SineFn:
@@ -222,10 +216,6 @@ class SineFn:
 
     def disk_bound(self, r):
         return math.sinh(abs(self.c) * r)
-
-    def derivative(self, k, z):
-        cycle = (math.sin, math.cos, lambda t: -math.sin(t), lambda t: -math.cos(t))
-        return self.c**k * cycle[k % 4](self.c * z)
 
 
 @dataclass(frozen=True)

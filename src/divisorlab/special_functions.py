@@ -35,34 +35,6 @@ class LaurentSeries:
     def coefficient(self, k):
         return self.coefficients.get(k, Fraction(0))
 
-    def __add__(self, other):
-        order = min(self.order, other.order)
-        out = {}
-        for k in range(1, order + 1):
-            c = self.coefficient(k) + other.coefficient(k)
-            if c:
-                out[k] = c
-        return LaurentSeries(out, order)
-
-    def __mul__(self, other):
-        # product of two tails starts at u^2; order is the shared truncation
-        order = min(self.order, other.order)
-        out = {}
-        for i, ci in self.coefficients.items():
-            for j, cj in other.coefficients.items():
-                if i + j <= order:
-                    out[i + j] = out.get(i + j, Fraction(0)) + ci * cj
-        return LaurentSeries({k: c for k, c in out.items() if c}, order)
-
-    def scaled(self, factor):
-        factor = Fraction(factor)
-        return LaurentSeries(
-            {k: c * factor for k, c in self.coefficients.items() if c * factor}, self.order
-        )
-
-    def evaluate(self, s):
-        return sum(float(c) * s ** (-k) for k, c in sorted(self.coefficients.items()))
-
 
 @dataclass(frozen=True)
 class KernelCoefficients:

@@ -6,8 +6,8 @@ series/quadrature route:
 
 * ``fourier_sum``: sum_{a<=n<=b} f(n) against the truncated Fourier dual
   with explicit boundary terms sigma_0(a), sigma_0(b).
-* ``averaged_divisor_sum``: (1/h0^(lam-1)) iterated h-average of
-  sum_{a+h < n^(1/lam) <= b+h} d_lam(n) f(n), integrated exactly over the
+* ``averaged_divisor_sum``: the h-average (1/h0) int_0^h0 of
+  sum_{a+h < sqrt(n) <= b+h} d(n) f(n) dh, integrated exactly over the
   breakpoints of the inner step function.
 * ``smoothed_voronoi_check`` / ``smoothed_delta_average``: the averaged
   sums against their smooth main term plus oscillatory kernel series.
@@ -22,7 +22,7 @@ from scipy.integrate import quad
 from . import divisor_core, special_functions, voronoi
 from .descriptors import ConstantFn
 from .divisor_core import EULER_GAMMA
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, require_count
 
 TWO_PI = 2.0 * math.pi
 
@@ -92,6 +92,7 @@ def sigma0(f, x_end, n_terms):
     identically there, so the literal formula is evaluated analytically
     rather than through rounded sin(2 pi n X) terms).
     """
+    require_count("n_terms", n_terms)
     fx = float(f(x_end))
     if _is_integer(x_end):
         return BoundaryTerm(endpoint=x_end, is_integer=True, value=fx / 2.0, ceiling=abs(fx) / 2.0)
@@ -112,6 +113,7 @@ def fourier_sum(f, a, b, n_terms):
     """
     if a >= b:
         raise DomainError(f"need a < b, got [{a}, {b}]")
+    require_count("n_terms", n_terms)
     exact = math.fsum(float(f(n)) for n in range(math.ceil(a), math.floor(b) + 1))
     fs = lambda x: float(f(x))
     main = [quad(fs, a, b, limit=200)[0]]
@@ -127,8 +129,7 @@ def fourier_sum(f, a, b, n_terms):
 def sawtooth_fejer(x, n_terms):
     """Partial sum of sum_n (1 - cos(2 n pi x)) / (2 pi^2 n^2), the Fourier
     expansion of int_0^x (1/2 - {y}) dy."""
-    if n_terms < 1:
-        raise DomainError(f"need at least one term, got {n_terms}")
+    require_count("n_terms", n_terms)
     ns = np.arange(1, n_terms + 1, dtype=np.float64)
     return float(np.sum((1.0 - np.cos(TWO_PI * ns * x)) / (2.0 * math.pi**2 * ns**2)))
 
@@ -140,7 +141,6 @@ class AveragedSumSpec:
     a: float
     b: float
     h0: float
-    lam: int = 2
     f: object = ConstantFn(1.0)
 
     def __post_init__(self):
@@ -148,79 +148,54 @@ class AveragedSumSpec:
             raise DomainError(f"need 0.9 < a < b, got a={self.a}, b={self.b}")
         if not 0 <= self.h0 < self.a / 2:
             raise DomainError(f"need 0 <= h0 < a/2, got h0={self.h0}")
-        if self.lam < 2:
-            raise DomainError(f"order lambda must be >= 2, got {self.lam}")
-
-
-def irwin_hall_cdf(t, m):
-    """CDF of a sum of m independent U[0,1] variables."""
-    if t <= 0:
-        return 0.0
-    if t >= m:
-        return 1.0
-    acc = 0.0
-    for k in range(0, int(math.floor(t)) + 1):
-        acc += (-1) ** k * math.comb(m, k) * (t - k) ** m
-    return acc / math.factorial(m)
 
 
 def collapse_threshold(spec):
-    """beta_0 = (b + (lam-1) h0)^lam - b^lam and the fractional gaps.
+    """beta_0 = (b + h0)^2 - b^2 and the fractional gaps.
 
-    When beta_0 < min(1 - {a^lam}, 1 - {b^lam}) no integer enters either
+    When beta_0 < min(1 - {a^2}, 1 - {b^2}) no integer enters either
     boundary window, so the h-average collapses to the plain sum exactly.
     """
-    lam, a, b, h0 = spec.lam, spec.a, spec.b, spec.h0
-    beta0 = (b + (lam - 1) * h0) ** lam - b**lam
-    gap_a = 1.0 - (a**lam - math.floor(a**lam))
-    gap_b = 1.0 - (b**lam - math.floor(b**lam))
+    a, b, h0 = spec.a, spec.b, spec.h0
+    beta0 = (b + h0) ** 2 - b**2
+    gap_a = 1.0 - (a**2 - math.floor(a**2))
+    gap_b = 1.0 - (b**2 - math.floor(b**2))
     return beta0, gap_a, gap_b, beta0 < min(gap_a, gap_b)
 
 
 def _required_sieve_limit(spec):
-    return int(math.floor((spec.b + (spec.lam - 1) * spec.h0) ** spec.lam)) + 1
+    return int(math.floor((spec.b + spec.h0) ** 2)) + 1
 
 
 def _table_for(spec, table, budget):
     need = _required_sieve_limit(spec)
     if table is not None:
-        if table.limit < need or table.order != spec.lam:
-            raise ResourceError(
-                f"table covers {table.limit} at order {table.order}, "
-                f"need {need} at order {spec.lam}"
-            )
+        if table.limit < need:
+            raise ResourceError(f"table covers {table.limit}, need {need}")
         return table
-    return divisor_core.sieve_divisors(need, spec.lam, budget=budget)
+    return divisor_core.sieve_divisors(need, budget=budget)
 
 
 def averaged_divisor_sum(spec, table=None, budget=divisor_core.DEFAULT_SIEVE_BUDGET):
     """Exact event-driven value of the h-averaged divisor sum.
 
-    The inner sum is a step function of the averaging shifts, so each n
-    contributes f(n) d_lam(n) times the (lam-1)-volume of shifts that keep
-    n inside; that volume is an Irwin-Hall CDF difference, exact up to
-    float rounding, with no quadrature error.
+    The inner sum is a step function of the averaging shift, so each n
+    contributes f(n) d(n) times the share of shifts h in [0, h0] with
+    a + h < sqrt(n) <= b + h, a piecewise-linear function of sqrt(n):
+    exact up to float rounding, with no quadrature error.
     """
     table = _table_for(spec, table, budget)
-    lam, a, b, h0 = spec.lam, spec.a, spec.b, spec.h0
-    lo = int(math.floor(a**lam)) + 1          # smallest n with n^(1/lam) > a
+    a, b, h0 = spec.a, spec.b, spec.h0
+    lo = int(math.floor(a**2)) + 1            # smallest n with sqrt(n) > a
     hi = _required_sieve_limit(spec) - 1      # largest n that can ever enter
     if hi < lo:
         return 0.0
     n = np.arange(lo, hi + 1, dtype=np.float64)
-    root = n ** (1.0 / lam)
+    root = n ** 0.5
     if h0 == 0.0:
         w = ((root > a) & (root <= b)).astype(np.float64)
-    elif lam == 2:
-        w = (np.minimum(root - a, h0) - np.clip(root - b, 0.0, None)).clip(0.0) / h0
     else:
-        m = lam - 1
-        w = np.array(
-            [
-                irwin_hall_cdf((r - a) / h0, m) - irwin_hall_cdf((r - b) / h0, m)
-                for r in root
-            ]
-        )
+        w = (np.minimum(root - a, h0) - np.clip(root - b, 0.0, None)).clip(0.0) / h0
     vals = table.values[lo : hi + 1].astype(np.float64) * np.asarray(spec.f(n))
     return float(math.fsum(vals * w))
 
@@ -228,47 +203,35 @@ def averaged_divisor_sum(spec, table=None, budget=divisor_core.DEFAULT_SIEVE_BUD
 def averaged_divisor_sum_riemann(spec, nodes=10**6, table=None,
                                  budget=divisor_core.DEFAULT_SIEVE_BUDGET,
                                  with_error_bound=False):
-    """Midpoint-rule oracle for the same average (lam = 2 or 3 only).
+    """Midpoint-rule oracle for the same average.
 
     A jump of mass J crossing one grid cell is mis-measured by at most
     one node spacing, so the oracle's resolution error is bounded by
     (total boundary jump mass) / nodes; ``with_error_bound`` returns that
     rigorous bound alongside the value.
     """
+    require_count("nodes", nodes)
     table = _table_for(spec, table, budget)
-    lam, a, b, h0 = spec.lam, spec.a, spec.b, spec.h0
-    lo = int(math.floor(a**lam)) + 1
+    a, b, h0 = spec.a, spec.b, spec.h0
+    lo = int(math.floor(a**2)) + 1
     hi = _required_sieve_limit(spec) - 1
     n = np.arange(lo, hi + 1, dtype=np.float64)
-    root = n ** (1.0 / lam)
+    root = n ** 0.5
     vals = table.values[lo : hi + 1].astype(np.float64) * np.asarray(spec.f(n))
     prefix = np.concatenate([[0.0], np.cumsum(vals)])
 
     def _jump_mass():
-        h_top = (lam - 1) * h0
-        crossing = ((root > a) & (root <= a + h_top)) | ((root > b) & (root <= b + h_top))
+        crossing = ((root > a) & (root <= a + h0)) | ((root > b) & (root <= b + h0))
         return float(np.sum(np.abs(vals[crossing])))
 
     if h0 == 0.0:
         i0, i1 = np.searchsorted(root, a, "right"), np.searchsorted(root, b, "right")
         out, bound = float(prefix[i1] - prefix[i0]), 0.0
-    elif lam == 2:
+    else:
         h = (np.arange(nodes) + 0.5) * (h0 / nodes)
         i0 = np.searchsorted(root, a + h, "right")
         i1 = np.searchsorted(root, b + h, "right")
         out, bound = float(np.sum(prefix[i1] - prefix[i0]) / nodes), _jump_mass() / nodes
-    elif lam == 3:
-        m = int(math.sqrt(nodes))
-        h1 = (np.arange(m) + 0.5) * (h0 / m)
-        total = 0.0
-        for u in h1:
-            hsum = u + h1
-            i0 = np.searchsorted(root, a + hsum, "right")
-            i1 = np.searchsorted(root, b + hsum, "right")
-            total += float(np.sum(prefix[i1] - prefix[i0]))
-        out, bound = total / (m * m), _jump_mass() / m
-    else:
-        raise DomainError(f"Riemann oracle supports lam in (2, 3), got {lam}")
     return (out, bound) if with_error_bound else out
 
 
@@ -354,10 +317,9 @@ def _kernel_series(spec, n_terms, table, alpha0, budget):
 def smoothed_voronoi_check(spec, n_terms, alpha0=1, table=None,
                            budget=divisor_core.DEFAULT_SIEVE_BUDGET):
     """Exact averaged sum vs smooth main term plus N-term kernel series."""
-    if spec.lam != 2:
-        raise DomainError("the smoothed check is wired for lam = 2")
+    require_count("n_terms", n_terms)
     if table is None and n_terms > _required_sieve_limit(spec):
-        table = divisor_core.sieve_divisors(n_terms, spec.lam, budget=budget)
+        table = divisor_core.sieve_divisors(n_terms, budget=budget)
     table = _table_for(spec, table, budget)
     s_exact = averaged_divisor_sum(spec, table=table)
     s_main = smoothed_main_term(spec)
@@ -425,9 +387,10 @@ def smoothed_delta_average(x, h0, n_terms, alpha0=1, table=None,
         raise DomainError(f"need x >= 0.9, got {x}")
     if h0 <= 0:
         raise DomainError(f"need h0 > 0, got {h0}")
+    require_count("n_terms", n_terms)
     need = max(int(math.floor((x + h0) ** 2)) + 1, n_terms)
     if table is None:
-        table = divisor_core.sieve_divisors(need, 2, budget=budget)
+        table = divisor_core.sieve_divisors(need, budget=budget)
     elif table.limit < need:
         raise ResourceError(f"table covers {table.limit}, need {need}")
     cumsum = table.summatory()
@@ -451,9 +414,10 @@ def weighted_delta_average(x, h1, h2, weight, n_terms, alpha0=1, table=None,
         raise DomainError(f"need h1 < h2, got [{h1}, {h2}]")
     if x + h1 < 0.9:
         raise DomainError(f"need x + h1 >= 0.9, got {x + h1}")
+    require_count("n_terms", n_terms)
     need = max(int(math.floor((x + h2) ** 2)) + 1, n_terms)
     if table is None:
-        table = divisor_core.sieve_divisors(need, 2, budget=budget)
+        table = divisor_core.sieve_divisors(need, budget=budget)
     elif table.limit < need:
         raise ResourceError(f"table covers {table.limit}, need {need}")
     cumsum = table.summatory()

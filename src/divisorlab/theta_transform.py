@@ -96,9 +96,8 @@ def _sum_two_sided(term_log_env, term_value, j_max_cap=MAX_TERMS):
     return complex(math.fsum(total_re), math.fsum(total_im)), 2 * ring + 1
 
 
-def psi_direct(spec, j_trunc=None, max_terms=MAX_TERMS):
-    """Left side: Gaussian-of-width-V lattice sum with character and
-    polynomial weight; truncation chosen from the Gaussian envelope."""
+def _direct_side(spec, j_trunc, max_terms):
+    """psi_direct's value and the number of terms it summed."""
     v, b, m0, x = complex(spec.v), spec.b, spec.m0, complex(spec.x)
     inv_v_re = (1 / v).real
     x2 = x.imag
@@ -118,9 +117,15 @@ def psi_direct(spec, j_trunc=None, max_terms=MAX_TERMS):
     if j_trunc is not None:
         vals = [term(j) for j in range(-j_trunc, j_trunc + 1)]
         total = complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
-        return total / sqrt_v
-    total, _ = _sum_two_sided(log_env, term, j_max_cap=max_terms)
-    return total / sqrt_v
+        return total / sqrt_v, len(vals)
+    total, count = _sum_two_sided(log_env, term, j_max_cap=max_terms)
+    return total / sqrt_v, count
+
+
+def psi_direct(spec, j_trunc=None, max_terms=MAX_TERMS):
+    """Left side: Gaussian-of-width-V lattice sum with character and
+    polynomial weight; truncation chosen from the Gaussian envelope."""
+    return _direct_side(spec, j_trunc, max_terms)[0]
 
 
 def _double_factorial_odd(k):
@@ -148,8 +153,8 @@ def p_weight(spec, j):
     return total
 
 
-def psi_transformed(spec, j_trunc=None, max_terms=MAX_TERMS):
-    """Right side: Gaussian of width 1/V with phase shift and p_m0 weight."""
+def _transformed_side(spec, j_trunc, max_terms):
+    """psi_transformed's value and the number of terms it summed."""
     v, b, m0, x = complex(spec.v), spec.b, spec.m0, complex(spec.x)
     v_re = v.real
     x1, x2 = x.real, x.imag
@@ -170,53 +175,19 @@ def psi_transformed(spec, j_trunc=None, max_terms=MAX_TERMS):
 
     if j_trunc is not None:
         vals = [term(j) for j in range(-j_trunc, j_trunc + 1)]
-        return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
-    total, _ = _sum_two_sided(log_env, term, j_max_cap=max_terms)
-    return total
+        return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals)), len(vals)
+    return _sum_two_sided(log_env, term, j_max_cap=max_terms)
+
+
+def psi_transformed(spec, j_trunc=None, max_terms=MAX_TERMS):
+    """Right side: Gaussian of width 1/V with phase shift and p_m0 weight."""
+    return _transformed_side(spec, j_trunc, max_terms)[0]
 
 
 def verify_theta(spec, tol_scale=1e-10, max_terms=MAX_TERMS):
     """Residual report for one spec; PASS iff |LHS-RHS| <= tol*(1+|LHS|)."""
-    v = complex(spec.v)
-    inv_v_re = (1 / v).real
-    x = complex(spec.x)
-
-    lhs_terms = rhs_terms = 0
-
-    def count_lhs(j):
-        nonlocal lhs_terms
-        lhs_terms += 1
-        if spec.m0 == 0:
-            return cmath.exp(-math.pi * (j + spec.b) ** 2 / v + 2j * math.pi * j * x)
-        return (
-            cmath.exp(-math.pi * (j + spec.b) ** 2 / v + 2j * math.pi * j * x)
-            * (j + spec.b) ** spec.m0
-        )
-
-    def lhs_env(j):
-        r = abs(j + spec.b)
-        poly = spec.m0 * math.log(r) if (spec.m0 and r > 0) else 0.0
-        return -math.pi * inv_v_re * (j + spec.b) ** 2 + 2 * math.pi * abs(j) * abs(x.imag) + poly
-
-    lhs_total, _ = _sum_two_sided(lhs_env, count_lhs, j_max_cap=max_terms)
-    lhs = lhs_total / cmath.sqrt(v)
-
-    def count_rhs(j):
-        nonlocal rhs_terms
-        rhs_terms += 1
-        return (
-            cmath.exp(-math.pi * v * (j + x) ** 2 - 2j * math.pi * spec.b * (x + j))
-            * p_weight(spec, j)
-        )
-
-    def rhs_env(j):
-        quad = v.real * ((j + x.real) ** 2 - x.imag**2) - 2 * v.imag * (j + x.real) * x.imag
-        r = abs(v) * abs(complex(j + x.real, x.imag))
-        poly = spec.m0 * math.log(max(r, 1e-300)) + spec.m0 if spec.m0 else 0.0
-        return -math.pi * quad + 2 * math.pi * abs(spec.b * x.imag) + poly
-
-    rhs, _ = _sum_two_sided(rhs_env, count_rhs, j_max_cap=max_terms)
-
+    lhs, lhs_terms = _direct_side(spec, None, max_terms)
+    rhs, rhs_terms = _transformed_side(spec, None, max_terms)
     abs_res = abs(lhs - rhs)
     tol = tol_scale * (1 + abs(lhs))
     return ThetaReport(

@@ -22,19 +22,7 @@ from . import (
     theta_transform,
     voronoi,
 )
-from .errors import DomainError
-
-SUITES = (
-    "coeffs",
-    "theta",
-    "voronoi",
-    "lemma33",
-    "lemma23",
-    "lemma25",
-    "expsum",
-    "diffop",
-    "construct",
-)
+from .errors import DomainError, require_count
 
 #: frozen regression constants (measured on first run, guarded since)
 LEMMA33_ERROR_TIMES_N = 0.5
@@ -356,7 +344,7 @@ def suite_lemma23(config=None, count=20, seed=0):
     # the plain sum with zero tolerance
     spec_c = summation_formulas.AveragedSumSpec(a=3.1, b=5.2, h0=0.01)
     beta0, gap_a, gap_b, collapses = summation_formulas.collapse_threshold(spec_c)
-    table = divisor_core.sieve_divisors(summation_formulas._required_sieve_limit(spec_c), 2)
+    table = divisor_core.sieve_divisors(summation_formulas._required_sieve_limit(spec_c))
     avg = summation_formulas.averaged_divisor_sum(spec_c, table=table)
     plain = summation_formulas.averaged_divisor_sum(
         summation_formulas.AveragedSumSpec(a=spec_c.a, b=spec_c.b, h0=0.0), table=table
@@ -446,7 +434,7 @@ def suite_lemma25(config=None, count=0, seed=0):
     )
     # degenerate average: h0 -> 0 recovers delta(x^2) exactly
     xx = 7.3
-    table = divisor_core.sieve_divisors(int((xx + 1e-7) ** 2) + 2, 2)
+    table = divisor_core.sieve_divisors(int((xx + 1e-7) ** 2) + 2)
     lhs = summation_formulas._delta_average_exact(xx, 1e-9, table.summatory())
     exact = divisor_core.delta(xx * xx).delta
     checks.append(
@@ -477,7 +465,7 @@ def suite_lemma25(config=None, count=0, seed=0):
 
 def suite_expsum(config=None, count=300, seed=0):
     checks = []
-    table = divisor_core.sieve_divisors(10**6, 2)
+    table = divisor_core.sieve_divisors(10**6)
     spec = exp_sums.ExpSumSpec(x=10**4, alpha=0.25, beta=0.0, a=1.0, b=10**3)
     h = exp_sums.exp_sum_exact(spec, table=table)
     n = np.arange(2, 10**3 + 1, dtype=np.float64)
@@ -735,18 +723,16 @@ _SUITE_FNS = {
     "construct": suite_construct,
 }
 
-_DEFAULT_COUNTS = {
-    "coeffs": 100,
-    "theta": 1000,
-    "voronoi": 50,
-    "lemma23": 20,
-    "expsum": 300,
-    "construct": 2000,
-}
+SUITES = tuple(_SUITE_FNS)
 
 
 def run_verify(suite, count=None, seed=0, config=None):
-    """Run one suite (or 'all'); returns the deterministic report dict."""
+    """Run one suite (or 'all'); returns the deterministic report dict.
+
+    ``count`` overrides each suite's own default sample count.
+    """
+    if count is not None:
+        require_count("count", count)
     if suite == "all":
         names = list(SUITES)
     elif suite in _SUITE_FNS:
@@ -756,7 +742,8 @@ def run_verify(suite, count=None, seed=0, config=None):
     report = {"suite": suite, "seed": seed, "checks": []}
     for name in names:
         kwargs = {"config": config, "seed": seed}
-        kwargs["count"] = count if count is not None else _DEFAULT_COUNTS.get(name, 0)
+        if count is not None:
+            kwargs["count"] = count
         for check in _SUITE_FNS[name](**kwargs):
             check["suite"] = name
             report["checks"].append(check)

@@ -25,25 +25,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels, divisor_core, special_functions
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, PrecisionError, require_count
 
 #: exponent used in the recorded error scale x^(1/2+eps) N^(-1/2) + x^eps
 BOUND_EPS = 0.05
 
 #: generous recorded ceiling for |residual| / bound_scale
 RESIDUAL_CEILING = 50.0
-
-
-@dataclass(frozen=True)
-class VoronoiSpec:
-    x: float
-    n_terms: int
-    alpha0: int = 0
-    lam: int = 2
-
-    def __post_init__(self):
-        if self.x < 1 or self.n_terms < 1 or self.alpha0 < 0 or self.lam < 2:
-            raise DomainError(f"invalid series spec {self}")
 
 
 @dataclass(frozen=True)
@@ -176,8 +164,8 @@ def _require_non_integer(x):
 
 
 def _series_weights(n_terms, exponent, table):
-    if table is None or table.limit < n_terms or table.order != 2:
-        table = divisor_core.sieve_divisors(n_terms, 2)
+    if table is None or table.limit < n_terms:
+        table = divisor_core.sieve_divisors(n_terms)
     n = np.arange(1, n_terms + 1, dtype=np.float64)
     w = table.values[1 : n_terms + 1].astype(np.float64) * n**exponent
     return w, np.sqrt(n)
@@ -186,8 +174,7 @@ def _series_weights(n_terms, exponent, table):
 def truncated_delta(x, n_terms, table=None, eps=BOUND_EPS):
     """Single-phase N-term series vs exact delta(x)."""
     _require_non_integer(x)
-    if n_terms < 1:
-        raise DomainError(f"need at least one term, got {n_terms}")
+    require_count("n_terms", n_terms)
     w, sqrtn = _series_weights(n_terms, -0.75, table)
     total = _kernels.cos_sum(w, sqrtn, 4.0 * math.pi * math.sqrt(x), -math.pi / 4.0)
     approx = x**0.25 / (math.pi * math.sqrt(2.0)) * total
@@ -205,8 +192,7 @@ def phi_correction_series(x, n_terms, table=None):
 def phi_series_delta(x, n_terms, table=None, eps=BOUND_EPS):
     """Two-phase kernel series (alpha0 = 1) vs exact delta(x)."""
     _require_non_integer(x)
-    if n_terms < 1:
-        raise DomainError(f"need at least one term, got {n_terms}")
+    require_count("n_terms", n_terms)
     base = truncated_delta(x, n_terms, table=table, eps=eps)
     approx = base.approx + phi_correction_series(x, n_terms, table=table)
     return SeriesResidual(x=float(x), n_terms=n_terms, approx=approx, exact=base.exact, eps=eps)
@@ -241,10 +227,11 @@ def convergence_report(
     full three-decade ensemble (one median per N across all decades); the
     pooled slope is the headline convergence measurement.
     """
+    require_count("count", count)
     n_values = sorted(n_values)
     n_max = n_values[-1]
-    if table is None or table.limit < n_max or table.order != 2:
-        table = divisor_core.sieve_divisors(n_max, 2)
+    if table is None or table.limit < n_max:
+        table = divisor_core.sieve_divisors(n_max)
     n = np.arange(1, n_max + 1, dtype=np.float64)
     w = table.values[1 : n_max + 1].astype(np.float64) * n**-0.75
     sqrtn = np.sqrt(n)

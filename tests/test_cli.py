@@ -136,7 +136,9 @@ class TestSubcommands:
             "--m0", "3", "--x", "0.4",
         )
         assert code == 0
-        assert json.loads(out)["passed"] is True
+        data = json.loads(out)
+        assert data["passed"] is True
+        assert (data["lhs_terms"], data["rhs_terms"]) == (17, 13)
 
     def test_theta_sweep_csv(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"
@@ -319,3 +321,10 @@ class TestBadInput:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("domain error:")
+
+    @pytest.mark.parametrize("order", ["7", "-3", "2"])
+    def test_kernel_order_choices(self, capsys, order):
+        code, out, err = run(capsys, "voronoi", "eval", "--x", "100.5", "--terms", "10", "--kernel-order", order)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err and "invalid choice" in err

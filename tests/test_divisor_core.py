@@ -82,14 +82,15 @@ class TestSieve:
         table = sieve_divisors(10, 2)
         assert table.values[1:].tolist() == [1, 2, 2, 3, 2, 4, 2, 4, 3, 4]
 
-    def test_order_three_single(self):
-        assert sieve_divisors(1, 3).values[1:].tolist() == [1]
+    def test_domain(self):
+        for n, lam in ((0, 2), (10, 1), (10, 3)):
+            with pytest.raises(DomainError):
+                sieve_divisors(n, lam)
 
     def test_oracle_equivalence_to_1e4(self):
-        for lam in (2, 3, 4):
-            table = sieve_divisors(10**4, lam)
-            for n in range(1, 10**4 + 1):
-                assert table.values[n] == divisor_count_lambda(n, lam)
+        table = sieve_divisors(10**4)
+        for n in range(1, 10**4 + 1):
+            assert table.values[n] == divisor_count_lambda(n, 2)
 
     def test_trial_division_kernel_agrees(self):
         got = _kernels.divisor_sieve(2000)

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from divisorlab import divisor_core, summation_formulas as smf
-from divisorlab.descriptors import (
-    ConstantFn,
-    PowerCosineFn,
-    PowerFn,
-    TabulatedFn,
-    descriptor_from_json,
-)
+from divisorlab.descriptors import ConstantFn, PowerFn
 from divisorlab.divisor_core import EULER_GAMMA
 from divisorlab.errors import DomainError, ResourceError
 
@@ -137,20 +131,6 @@ class TestAveragedSum:
             )
             assert abs(exact - oracle) <= bound + 1e-9 * max(1.0, abs(exact))
 
-    def test_order_three_against_riemann(self):
-        spec = smf.AveragedSumSpec(a=2.1, b=3.3, h0=0.04, lam=3)
-        exact = smf.averaged_divisor_sum(spec)
-        oracle, bound = smf.averaged_divisor_sum_riemann(
-            spec, nodes=4 * 10**6, with_error_bound=True
-        )
-        assert abs(exact - oracle) <= bound + 1e-9 * abs(exact)
-
-    def test_irwin_hall(self):
-        assert smf.irwin_hall_cdf(-0.5, 2) == 0.0
-        assert smf.irwin_hall_cdf(2.5, 2) == 1.0
-        assert smf.irwin_hall_cdf(1.0, 2) == pytest.approx(0.5)
-        # CDF of sum of two U[0,1] at t = 0.5 is t^2/2 = 1/8
-        assert smf.irwin_hall_cdf(0.5, 2) == pytest.approx(0.125)
 
 
 class TestSmoothedVoronoi:
@@ -239,26 +219,6 @@ class TestSmoothedDeltaAverage:
 
 
 class TestDescriptors:
-    def test_power_roundtrip(self):
-        f = PowerFn(exponent=-0.25, coef=2.0)
-        back = descriptor_from_json(f.to_json())
-        assert back == f
-        assert back(4.0) == pytest.approx(2.0 * 4.0**-0.25)
-
-    def test_power_cosine(self):
-        f = PowerCosineFn(exponent=1.0, freq=3.0, phase=0.5)
-        assert f(2.0) == pytest.approx(2.0 * math.cos(6.5))
-        assert f.derivative_bound(1.0, 2.0, 1) >= 3.0  # |d/dx| can reach ~|freq| x
-
-    def test_tabulated(self):
-        xs = tuple(np.linspace(0, 4, 30))
-        f = TabulatedFn(xs=xs, ys=tuple(x * x for x in xs))
-        assert f(2.5) == pytest.approx(6.25, abs=1e-6)
-
-    def test_unknown_kind(self):
-        with pytest.raises(DomainError):
-            descriptor_from_json({"kind": "nope"})
-
     def test_oscillatory_integral_against_quad(self):
         from scipy.integrate import quad
 
