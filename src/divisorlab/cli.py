@@ -202,11 +202,6 @@ def build_parser():
     cl.add_argument("--x2", type=float, default=None)
     cl.add_argument("--c0", type=float, default=200.0)
     cl.add_argument("--n-cut", type=int, default=10**5)
-    cs = csub.add_parser("scan")
-    cs.add_argument("--to", dest="x_hi", type=float, required=True)
-    cs.add_argument("--step", type=float, default=1.0)
-    cs.add_argument("--out", default=None)
-    cs.add_argument("--config", default=None)
 
     return ap
 
@@ -220,14 +215,10 @@ def _cmd_compute(args):
     return EXIT_OK
 
 
-def _cmd_scan(args, x_lo=None):
+def _cmd_scan(args):
     cfg = load_config(args.config) if args.config else RunConfig()
-    points = divisor_core.delta_scan(
-        x_lo if x_lo is not None else args.x_lo, args.x_hi, args.step,
-        budget=cfg.sieve_limit,
-    )
-    fmt = getattr(args, "format", "csv")
-    text = divisor_core.points_to_csv(points) if fmt == "csv" else divisor_core.points_to_json(points)
+    points = divisor_core.delta_scan(args.x_lo, args.x_hi, args.step, budget=cfg.sieve_limit)
+    text = divisor_core.points_to_csv(points) if args.format == "csv" else divisor_core.points_to_json(points)
     _write_text(args.out, text)
     _write_sidecar(args.out, cfg, cfg.seed, "scan")
     return EXIT_OK
@@ -385,16 +376,14 @@ def _cmd_construct(args):
         _emit_json(out)
         ok = out["in_band_rate"] == 1.0 and out["zero_count_rate"] == 1.0
         return EXIT_OK if ok else EXIT_VERIFY_FAIL
-    if args.subcommand == "lambda":
-        c1, c2 = _load_coeffs(args.coeffs)
-        x2 = args.x2 if args.x2 is not None else args.x
-        p = construction.build_params(args.x, x2, args.c0)
-        value = construction.lambda_evaluator(args.x, p, c1, c2, args.n_cut)
-        ceiling = construction.lambda_triangle_ceiling(p, c1, c2, args.n_cut)
-        _emit_json({"lambda": value, "triangle_ceiling": ceiling, "x": args.x,
-                    "k_diff": p.k_diff, "m0": p.m0})
-        return EXIT_OK
-    return _cmd_scan(args, x_lo=1.0)
+    c1, c2 = _load_coeffs(args.coeffs)
+    x2 = args.x2 if args.x2 is not None else args.x
+    p = construction.build_params(args.x, x2, args.c0)
+    value = construction.lambda_evaluator(args.x, p, c1, c2, args.n_cut)
+    ceiling = construction.lambda_triangle_ceiling(p, c1, c2, args.n_cut)
+    _emit_json({"lambda": value, "triangle_ceiling": ceiling, "x": args.x,
+                "k_diff": p.k_diff, "m0": p.m0})
+    return EXIT_OK
 
 
 _DISPATCH = {

@@ -1,11 +1,10 @@
-"""Run configuration: budgets, tolerance overrides, seed, output.
+"""Run configuration: budgets, tolerance overrides, seed.
 
 The config file is plain JSON with these keys (all optional):
 
     sieve_limit   int, max table entries a sieve may allocate
     tolerances    object, check-name -> threshold override
     seed          int, base seed for every randomized sweep
-    output        {"path": str, "format": "csv"|"json"}
 
 Other keys are ignored; a malformed file raises DomainError.
 
@@ -25,8 +24,6 @@ class RunConfig:
     sieve_limit: int = DEFAULT_SIEVE_BUDGET
     tolerances: dict = field(default_factory=dict)
     seed: int = 0
-    output_path: str = None
-    output_format: str = "csv"
 
     def __post_init__(self):
         for name, tol in self.tolerances.items():
@@ -36,16 +33,15 @@ class RunConfig:
                 ok = False
             if not ok:
                 raise DomainError(f"tolerance override {name!r} must be a number >= 0, got {tol!r}")
-        if self.output_format not in ("csv", "json"):
-            raise DomainError(f"output format must be csv or json, got {self.output_format}")
 
     def canonical(self):
         return {
             "sieve_limit": self.sieve_limit,
             "tolerances": dict(sorted(self.tolerances.items())),
             "seed": self.seed,
-            "output_path": self.output_path,
-            "output_format": self.output_format,
+            # the values of the removed output section, so that existing hashes hold
+            "output_path": None,
+            "output_format": "csv",
         }
 
     def config_hash(self):
@@ -64,14 +60,10 @@ def read_json(path):
 
 def load_config(path):
     raw = read_json(path)
-    sections = ("output", "tolerances")
-    if not isinstance(raw, dict) or not all(isinstance(raw.get(k, {}), dict) for k in sections):
-        raise DomainError(f"config {path} must be an object whose output and tolerances are objects")
-    out = raw.get("output", {})
+    if not isinstance(raw, dict) or not isinstance(raw.get("tolerances", {}), dict):
+        raise DomainError(f"config {path} must be an object whose tolerances are an object")
     return RunConfig(
         sieve_limit=raw.get("sieve_limit", DEFAULT_SIEVE_BUDGET),
         tolerances=raw.get("tolerances", {}),
         seed=raw.get("seed", 0),
-        output_path=out.get("path"),
-        output_format=out.get("format", "csv"),
     )

@@ -22,7 +22,7 @@ in floats; squaring B directly would need > 53 bits once U > 1e8.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class ConstructionParams:
     a_gauss: float         # A = C0 sqrt(U L)
     k_diff: int            # K = floor(C0 L / log L)
     m0: int
-    m0_factor: int
     v_window: float        # V = X2^(1/log L)
     eps0: float
     j0: int
@@ -68,13 +67,13 @@ class ConstructionParams:
         return 3.0 / 40.0 - 10.0 / self.c0
 
 
-def build_params(x, x2, c0, m0_factor=1):
+def build_params(x, x2, c0):
     """Derive the full parameter bundle from (X, X2, C0).
 
     The reference scale is C0 >= 200; smaller values are allowed for
     scaled or deliberately violable runs and trigger ScaledRegimeWarning.
     The m0 definition appears with and without a factor 2 in circulation;
-    ``m0_factor`` selects the reading (default 1).
+    this takes the factor-1 reading, m0 = max(1, floor(sqrt(X2) / L^2)).
     """
     if x < 3:
         raise DomainError(f"need X >= 3, got {x}")
@@ -82,8 +81,6 @@ def build_params(x, x2, c0, m0_factor=1):
         raise DomainError(f"need X <= X2, got X={x}, X2={x2}")
     if c0 < 1:
         raise DomainError(f"need C0 >= 1, got {c0}")
-    if m0_factor not in (1, 2):
-        raise DomainError(f"m0_factor must be 1 or 2, got {m0_factor}")
     log_x2 = math.log(x2)
     if log_x2 <= math.e:
         raise DomainError(f"need log X2 > e, got {log_x2}")
@@ -110,8 +107,7 @@ def build_params(x, x2, c0, m0_factor=1):
         log_x2=log_x2,
         a_gauss=c0 * math.sqrt(u * log_x2),
         k_diff=int(math.floor(c0 * log_x2 / math.log(log_x2))),
-        m0=max(1, m0_factor * int(math.floor(math.sqrt(x2) / log_x2**2))),
-        m0_factor=m0_factor,
+        m0=max(1, int(math.floor(math.sqrt(x2) / log_x2**2))),
         v_window=v_window,
         eps0=eps0,
         j0=int(math.floor(math.sqrt(v_window) * log_x2)),
@@ -211,7 +207,7 @@ def is_admissible(p, k, j, count, k1, theta):
     return True
 
 
-def sample_admissible(p, rng, m_low=None, m_high=None):
+def sample_admissible(p, rng):
     """One admissible tuple: k <= m and k1 in the upper m0 band, j within
     the j-budget left by the margin, eta with an in-budget active count."""
     if p.margin <= 0:
@@ -219,8 +215,7 @@ def sample_admissible(p, rng, m_low=None, m_high=None):
             f"C0 = {p.c0} leaves no admissibility margin; sample the "
             "violable regime with sample_unconstrained instead"
         )
-    m_low = p.m0 + 1 if m_low is None else m_low
-    m_high = 2 * p.m0 if m_high is None else m_high
+    m_low, m_high = p.m0 + 1, 2 * p.m0
     sqrt_u = math.sqrt(p.u)
     s_cap = math.sqrt(p.margin) * (1 - 1e-6)
     for _ in range(10000):
@@ -290,11 +285,12 @@ def admissible_sweep(p, samples, seed):
     }
 
 
-def find_violation(p, seed, max_tries=10**5):
-    """Search the raw box for a tuple breaking the band or the empty
-    interval; the violable regime (small C0) yields one quickly."""
+def find_violation(p, seed):
+    """Search the raw box (10^5 draws at most) for a tuple breaking the
+    band or the empty interval; the violable regime (small C0) yields one
+    quickly."""
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(10**5):
         choice, theta = sample_unconstrained(p, rng)
         xi = rng.uniform(p.xi1, p.xi2)
         w = gap_witness(p, choice.k, choice.j, choice.eta_count, choice.k1, theta, xi)
@@ -310,15 +306,15 @@ def find_violation(p, seed, max_tries=10**5):
     return None
 
 
-def construct_check(u, c0, samples, seed, m0_factor=1):
+def construct_check(u, c0, samples, seed):
     """CLI-facing sweep: admissible rates plus one negative-control search
     in the C0 = 1 regime at the same U."""
     x = float(u)
-    p = build_params(x, x, c0, m0_factor=m0_factor)
+    p = build_params(x, x, c0)
     out = admissible_sweep(p, samples, seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ScaledRegimeWarning)
-        p_violable = build_params(x, x, 1.0, m0_factor=m0_factor)
+        p_violable = build_params(x, x, 1.0)
     out["negative_control"] = find_violation(p_violable, seed)
     out["u"] = u
     out["c0"] = c0
@@ -328,7 +324,7 @@ def construct_check(u, c0, samples, seed, m0_factor=1):
 
 # ----------------------------------------------------- Lambda evaluator
 
-def lambda_evaluator(x, p, c1, c2, n_cut, table=None):
+def lambda_evaluator(x, p, c1, c2, n_cut):
     """Linear-in-coefficients double series
 
         Lambda(X) = X/(m0+1)^2 sum_{a<=4K} C1(a) S_{5/4}(a)
@@ -350,10 +346,7 @@ def lambda_evaluator(x, p, c1, c2, n_cut, table=None):
     n_limit = int(min(n_cut, math.floor(p.x2 * p.log_x2**2 / p.v_window)))
     if n_limit < 1:
         return 0.0
-    if table is None:
-        table = divisor_core.sieve_divisors(n_limit)
-    elif table.limit < n_limit:
-        raise ResourceError(f"table covers {table.limit}, need {n_limit}")
+    table = divisor_core.sieve_divisors(n_limit)
     n = np.arange(1, n_limit + 1, dtype=np.float64)
     sqrtn = np.sqrt(n)
     dn = table.values[1 : n_limit + 1].astype(np.float64)
@@ -382,13 +375,12 @@ def lambda_evaluator(x, p, c1, c2, n_cut, table=None):
     return total
 
 
-def lambda_triangle_ceiling(p, c1, c2, n_cut, table=None):
+def lambda_triangle_ceiling(p, c1, c2, n_cut):
     """Term-wise triangle-inequality ceiling for |Lambda(X)|."""
     c1 = np.asarray(c1, dtype=np.float64)
     c2 = np.asarray(c2, dtype=np.float64)
     n_limit = int(min(n_cut, math.floor(p.x2 * p.log_x2**2 / p.v_window)))
-    if table is None:
-        table = divisor_core.sieve_divisors(n_limit)
+    table = divisor_core.sieve_divisors(n_limit)
     n = np.arange(1, n_limit + 1, dtype=np.float64)
     dn = table.values[1 : n_limit + 1].astype(np.float64)
     s1 = float(np.sum(dn * n**-1.25))
@@ -402,7 +394,7 @@ def lambda_triangle_ceiling(p, c1, c2, n_cut, table=None):
 
 # ----------------------------------------------------- toy composition
 
-def toy_omega(u=10**6, k_steps=8, m0=4, j_cap=40, c0=200.0):
+def toy_omega():
     """Structural stand-in for the full weighted composition over
     (j, k1, m, k) of K-fold differenced window sums.
 
@@ -410,27 +402,18 @@ def toy_omega(u=10**6, k_steps=8, m0=4, j_cap=40, c0=200.0):
     difference directions and m0 ~ sqrt(X2)/L^2 shifts; the binomial
     weights C(K, K/2) alone overflow any fixed-width significand long
     before those sizes, so the full object is out of numeric reach.  This
-    toy keeps the exact structure at K <= 10, m0 <= 10 and verifies by
-    interval arithmetic that every window sum is empty, whence the whole
-    composition is exactly zero.
+    toy keeps the exact structure at U = 10^6, C0 = 200, K = 8, m0 = 4
+    and j0 capped at 40, and verifies by interval arithmetic that every
+    window sum is empty, whence the whole composition is exactly zero.
     """
-    if k_steps > 10 or m0 > 10:
-        raise ResourceError("toy composition caps at K <= 10, m0 <= 10")
-    x = float(u)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ScaledRegimeWarning)
-        p = build_params(x, x, c0)
-    p = ConstructionParams(
-        x=p.x, x2=p.x2, c0=p.c0, u=p.u, log_x2=p.log_x2, a_gauss=p.a_gauss,
-        k_diff=k_steps, m0=m0, m0_factor=p.m0_factor, v_window=p.v_window,
-        eps0=p.eps0, j0=min(p.j0, j_cap), xi1=p.xi1, xi2=p.xi2,
-    )
+    p = build_params(1e6, 1e6, 200.0)
+    p = replace(p, k_diff=8, m0=4, j0=min(p.j0, 40))
     checked = 0
     for j in range(-p.j0, p.j0 + 1):
-        for k1 in range(m0 + 1, 2 * m0 + 1):
-            for m in range(m0 + 1, 2 * m0 + 1):
+        for k1 in range(p.m0 + 1, 2 * p.m0 + 1):
+            for m in range(p.m0 + 1, 2 * p.m0 + 1):
                 for k in range(0, m + 1):
-                    for count in range(0, k_steps + 1):
+                    for count in range(0, p.k_diff + 1):
                         # interval arithmetic over theta: r is increasing in
                         # theta, so the extremes bracket every window end
                         ok = True
@@ -449,7 +432,7 @@ def toy_omega(u=10**6, k_steps=8, m0=4, j_cap=40, c0=200.0):
 
 # ------------------------------------------------- exponent diagnostics
 
-def delta_exponent_scan(x_hi, table=None, budget=divisor_core.DEFAULT_SIEVE_BUDGET):
+def delta_exponent_scan(x_hi):
     """Dyadic-block diagnostics of the error term up to x_hi.
 
     Per block [2^t, 2^(t+1)): max |delta|, sign-change count; fitted are
@@ -459,9 +442,7 @@ def delta_exponent_scan(x_hi, table=None, budget=divisor_core.DEFAULT_SIEVE_BUDG
     t_max = int(math.floor(math.log2(x_hi)))
     if t_max < 4:
         raise DomainError(f"need at least 4 dyadic blocks, got x_hi = {x_hi}")
-    if table is None:
-        table = divisor_core.sieve_divisors(x_hi, budget=budget)
-    cumsum = table.summatory()
+    cumsum = divisor_core.sieve_divisors(x_hi).summatory()
     xs = np.arange(1, x_hi + 1, dtype=np.float64)
     deltas = cumsum[1:].astype(np.float64) - xs * np.log(xs) - (2 * divisor_core.EULER_GAMMA - 1) * xs
 

@@ -31,6 +31,9 @@ EULER_GAMMA = 0.577215664901532860606512090082
 #: default cap on sieve size, in table entries
 DEFAULT_SIEVE_BUDGET = 2 * 10**8
 
+#: cap on the points of one scan; a point costs about 370 bytes
+MAX_SCAN_POINTS = 5 * 10**6
+
 
 @dataclass(frozen=True)
 class DivisorTable:
@@ -149,19 +152,22 @@ def delta_from_cumsum(x, cumsum):
     return SummatoryPoint(x=x, d_sum=d_sum, delta=d_sum - x * math.log(x) - (2 * EULER_GAMMA - 1) * x)
 
 
-def delta_scan(x_lo, x_hi, step, table=None, budget=DEFAULT_SIEVE_BUDGET):
-    """SummatoryPoints on the grid x_lo, x_lo+step, ..., <= x_hi."""
+def delta_scan(x_lo, x_hi, step, budget=DEFAULT_SIEVE_BUDGET):
+    """SummatoryPoints on the grid x_lo, x_lo+step, ..., <= x_hi, at most
+    MAX_SCAN_POINTS of them; the sieve to x_hi obeys ``budget``."""
     if not (1 <= x_lo <= x_hi < math.inf and 0 < step < math.inf):
         raise DomainError(
             f"scan range [{x_lo}, {x_hi}] with step {step} is empty, starts below 1 "
             "or is not finite"
         )
     count = int(math.floor((x_hi - x_lo) / step + 1e-9)) + 1
+    if count > MAX_SCAN_POINTS:
+        raise ResourceError(
+            f"scan has {count} points but at most {MAX_SCAN_POINTS} are allowed; "
+            "narrow the range or widen the step"
+        )
     xs = [x_lo + i * step for i in range(count)]
     top = int(math.floor(xs[-1]))
-    if table is not None and table.limit >= top:
-        cumsum = table.summatory()
-        return [delta_from_cumsum(x, cumsum) for x in xs]
     if top + 1 <= budget:
         cumsum = sieve_divisors(top, budget=budget).summatory()
         return [delta_from_cumsum(x, cumsum) for x in xs]

@@ -94,12 +94,18 @@ class InverseSqrtSumWeight:
         return 1.0 / (math.sqrt(self.x) + math.sqrt(a))
 
 
-def random_spec(rng, x_max=10**6, weighted=False, alpha_pool=(0.0, 0.25, 0.5, 1.0, 3.0)):
-    """One seeded random sum spec with b <= X and a documented alpha pool."""
-    x = rng.uniform(10.0, x_max)
+#: largest X of a random spec, and so the sieve size of a sweep
+SWEEP_X_MAX = 10**6
+
+
+def random_spec(rng, weighted=False):
+    """One seeded random sum spec: X uniform on [10, 10^6], 2 <= b <= X,
+    0.91 <= a <= max(0.92, b/2), alpha from (0, 1/4, 1/2, 1, 3) and beta
+    uniform on [0, 2 pi)."""
+    x = rng.uniform(10.0, SWEEP_X_MAX)
     b = rng.uniform(2.0, x)
     a = rng.uniform(0.91, max(0.92, b / 2))
-    alpha = float(rng.choice(alpha_pool))
+    alpha = float(rng.choice((0.0, 0.25, 0.5, 1.0, 3.0)))
     beta = rng.uniform(0.0, 2 * math.pi)
     if weighted:
         wfn = InverseSqrtSumWeight(x)
@@ -108,15 +114,18 @@ def random_spec(rng, x_max=10**6, weighted=False, alpha_pool=(0.0, 0.25, 0.5, 1.
     return ExpSumSpec(x=x, alpha=alpha, beta=beta, a=a, b=b)
 
 
-def expsum_sweep(count, seed, x_max=10**6, weighted_share=0.2, table=None):
-    """Bound-ratio sweep rows: dicts with the sampled parameters and ratio."""
+def expsum_sweep(count, seed, table=None):
+    """Bound-ratio sweep rows: dicts with the sampled parameters and ratio.
+
+    Specs come from ``random_spec`` (X <= 10^6, so one table to 10^6
+    serves every row); a fifth of the rows, drawn per row, are weighted."""
     rng = np.random.default_rng(seed)
     if table is None:
-        table = divisor_core.sieve_divisors(int(x_max))
+        table = divisor_core.sieve_divisors(SWEEP_X_MAX)
     rows = []
     for _ in range(count):
-        weighted = rng.uniform() < weighted_share
-        spec = random_spec(rng, x_max=x_max, weighted=weighted)
+        weighted = rng.uniform() < 0.2
+        spec = random_spec(rng, weighted=weighted)
         ratio = exp_sum_bound_ratio(spec, table=table)
         rows.append(
             {
@@ -248,7 +257,7 @@ class DecayReport:
         return abs(self.value) / self.ceiling
 
 
-def difference_decay_check(f, k, nu0, radius, disk_bound=None):
+def difference_decay_check(f, k, nu0, radius):
     """Compare |Delta^K f| against the Cauchy-estimate ceiling
 
         K! nu0^K M r / (r - nu0 K)^(K+1)
@@ -262,7 +271,7 @@ def difference_decay_check(f, k, nu0, radius, disk_bound=None):
         raise DomainError(
             f"nu0*K = {nu0 * k} must stay below the disk radius {radius}"
         )
-    m_bound = disk_bound if disk_bound is not None else f.disk_bound(radius)
+    m_bound = f.disk_bound(radius)
     value = difference_apply(DifferenceSpec(k=k, nu0=nu0, f=f))
     ceiling = (
         math.factorial(k) * nu0**k * m_bound * radius / (radius - nu0 * k) ** (k + 1)

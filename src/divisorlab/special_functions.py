@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import loggamma
 
 from .divisor_core import EULER_GAMMA  # noqa: F401  (re-exported constant)
-from .errors import DomainError, PrecisionError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ def falling_factorial_basis(alpha, order):
     return {p + alpha: c for p, c in out.items() if p + alpha <= order}
 
 
-def derive_kernel_coefficients(alpha0, lam=2, series=None):
+def derive_kernel_coefficients(alpha0, lam=2):
     """gamma_0..gamma_alpha0 from exp(mu_lambda) re-expressed in the
     falling-factorial basis 1, 1/(s-1), 1/((s-1)(s-2)), ...
 
@@ -186,14 +186,7 @@ def derive_kernel_coefficients(alpha0, lam=2, series=None):
     """
     if alpha0 < 0:
         raise DomainError(f"kernel order must be >= 0, got {alpha0}")
-    if series is None:
-        series = mu_lambda_series(max(alpha0, 1), lam=lam)
-    elif series.order < alpha0:
-        raise PrecisionError(
-            f"kernel order {alpha0} needs the expansion to order {alpha0}, "
-            f"got order {series.order}"
-        )
-    expanded = exp_series(series)
+    expanded = exp_series(mu_lambda_series(max(alpha0, 1), lam=lam))
     gammas = [Fraction(1)]
     bases = [falling_factorial_basis(a, alpha0) for a in range(alpha0 + 1)]
     for a in range(1, alpha0 + 1):

@@ -26,6 +26,9 @@ from .errors import DomainError, ResourceError, require_count
 
 TWO_PI = 2.0 * math.pi
 
+#: kernel order of the three smoothed checks: gamma_0, gamma_1 and beta_0, beta_1
+ALPHA0 = 1
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
@@ -167,16 +170,7 @@ def _required_sieve_limit(spec):
     return int(math.floor((spec.b + spec.h0) ** 2)) + 1
 
 
-def _table_for(spec, table, budget):
-    need = _required_sieve_limit(spec)
-    if table is not None:
-        if table.limit < need:
-            raise ResourceError(f"table covers {table.limit}, need {need}")
-        return table
-    return divisor_core.sieve_divisors(need, budget=budget)
-
-
-def averaged_divisor_sum(spec, table=None, budget=divisor_core.DEFAULT_SIEVE_BUDGET):
+def averaged_divisor_sum(spec, table=None):
     """Exact event-driven value of the h-averaged divisor sum.
 
     The inner sum is a step function of the averaging shift, so each n
@@ -184,10 +178,14 @@ def averaged_divisor_sum(spec, table=None, budget=divisor_core.DEFAULT_SIEVE_BUD
     a + h < sqrt(n) <= b + h, a piecewise-linear function of sqrt(n):
     exact up to float rounding, with no quadrature error.
     """
-    table = _table_for(spec, table, budget)
+    need = _required_sieve_limit(spec)
+    if table is None:
+        table = divisor_core.sieve_divisors(need)
+    elif table.limit < need:
+        raise ResourceError(f"table covers {table.limit}, need {need}")
     a, b, h0 = spec.a, spec.b, spec.h0
     lo = int(math.floor(a**2)) + 1            # smallest n with sqrt(n) > a
-    hi = _required_sieve_limit(spec) - 1      # largest n that can ever enter
+    hi = need - 1                             # largest n that can ever enter
     if hi < lo:
         return 0.0
     n = np.arange(lo, hi + 1, dtype=np.float64)
@@ -200,9 +198,7 @@ def averaged_divisor_sum(spec, table=None, budget=divisor_core.DEFAULT_SIEVE_BUD
     return float(math.fsum(vals * w))
 
 
-def averaged_divisor_sum_riemann(spec, nodes=10**6, table=None,
-                                 budget=divisor_core.DEFAULT_SIEVE_BUDGET,
-                                 with_error_bound=False):
+def averaged_divisor_sum_riemann(spec, nodes=10**6, with_error_bound=False):
     """Midpoint-rule oracle for the same average.
 
     A jump of mass J crossing one grid cell is mis-measured by at most
@@ -211,10 +207,11 @@ def averaged_divisor_sum_riemann(spec, nodes=10**6, table=None,
     rigorous bound alongside the value.
     """
     require_count("nodes", nodes)
-    table = _table_for(spec, table, budget)
+    need = _required_sieve_limit(spec)
+    table = divisor_core.sieve_divisors(need)
     a, b, h0 = spec.a, spec.b, spec.h0
     lo = int(math.floor(a**2)) + 1
-    hi = _required_sieve_limit(spec) - 1
+    hi = need - 1
     n = np.arange(lo, hi + 1, dtype=np.float64)
     root = n ** 0.5
     vals = table.values[lo : hi + 1].astype(np.float64) * np.asarray(spec.f(n))
@@ -265,14 +262,15 @@ def _overlap_weight_pieces(a, b, h0):
     return pieces
 
 
-def smoothed_main_term(spec, panels=16):
-    """(1/h0) int_0^h0 dh int_{(a+h)^2}^{(b+h)^2} f(x) (log x + 2 gamma) dx."""
+def smoothed_main_term(spec):
+    """(1/h0) int_0^h0 dh int_{(a+h)^2}^{(b+h)^2} f(x) (log x + 2 gamma) dx,
+    with 16 Gauss-Legendre panels inside and 8 over h."""
     a, b, h0, f = spec.a, spec.b, spec.h0, spec.f
 
     def inner(h):
         lo, hi = (a + h) ** 2, (b + h) ** 2
         return smooth_integral(
-            lambda x: np.asarray(f(x)) * (np.log(x) + 2 * EULER_GAMMA), lo, hi, panels=panels
+            lambda x: np.asarray(f(x)) * (np.log(x) + 2 * EULER_GAMMA), lo, hi, panels=16
         )
 
     if h0 == 0.0:
@@ -280,13 +278,11 @@ def smoothed_main_term(spec, panels=16):
     return smooth_integral(np.vectorize(inner), 0.0, h0, panels=8) / h0
 
 
-def _kernel_series(spec, n_terms, table, alpha0, budget):
+def _kernel_series(spec, n_terms, table):
     """sum_{n<=N} (d(n)/h0) * double integral of f * Theta(n x); evaluated
     through the substitution u = sqrt(x) and the overlap weight in u."""
     a, b, h0, f = spec.a, spec.b, spec.h0, spec.f
-    gam = special_functions.derive_kernel_coefficients(alpha0).as_floats()
-    if table.limit < n_terms:
-        raise ResourceError(f"table covers {table.limit}, series needs {n_terms}")
+    gam = special_functions.derive_kernel_coefficients(ALPHA0).as_floats()
     dn = table.values
     pieces = (
         _overlap_weight_pieces(a, b, h0)
@@ -314,16 +310,13 @@ def _kernel_series(spec, n_terms, table, alpha0, budget):
     return math.fsum(total)
 
 
-def smoothed_voronoi_check(spec, n_terms, alpha0=1, table=None,
-                           budget=divisor_core.DEFAULT_SIEVE_BUDGET):
+def smoothed_voronoi_check(spec, n_terms):
     """Exact averaged sum vs smooth main term plus N-term kernel series."""
     require_count("n_terms", n_terms)
-    if table is None and n_terms > _required_sieve_limit(spec):
-        table = divisor_core.sieve_divisors(n_terms, budget=budget)
-    table = _table_for(spec, table, budget)
+    table = divisor_core.sieve_divisors(max(n_terms, _required_sieve_limit(spec)))
     s_exact = averaged_divisor_sum(spec, table=table)
     s_main = smoothed_main_term(spec)
-    series = _kernel_series(spec, n_terms, table, alpha0, budget)
+    series = _kernel_series(spec, n_terms, table)
     return ResidualReport(
         lhs=s_exact,
         rhs=s_main + series,
@@ -332,7 +325,7 @@ def smoothed_voronoi_check(spec, n_terms, alpha0=1, table=None,
             "b": spec.b,
             "h0": spec.h0,
             "n_terms": n_terms,
-            "alpha0": alpha0,
+            "alpha0": ALPHA0,
             "main_term": s_main,
             "series": series,
         },
@@ -368,46 +361,40 @@ def _delta_average_exact(x, h0, cumsum):
     return math.fsum(step_part) / h0 - smooth_avg
 
 
-def _phi_average(n, x, h0, alpha0, betas):
+def _phi_average(n, x, h0, betas):
     """(1/h0) int_0^h0 phi(n, (x+h)^2) dh via u = x + h."""
     acc = 0.0
     omega = 4.0 * math.pi * math.sqrt(n)
-    for alpha in range(alpha0 + 1):
-        c = betas[alpha] * n**-0.75 / (math.sqrt(2.0) * math.pi) / (4.0 * math.pi * math.sqrt(n)) ** alpha
+    for alpha, beta in enumerate(betas):
+        c = beta * n**-0.75 / (math.sqrt(2.0) * math.pi) / (4.0 * math.pi * math.sqrt(n)) ** alpha
         phase = -math.pi / 4.0 + alpha * math.pi / 2.0
         g = lambda u: u ** (0.5 - alpha)
         acc += c * oscillatory_integral(g, x, x + h0, omega, phase)
     return acc / h0
 
 
-def smoothed_delta_average(x, h0, n_terms, alpha0=1, table=None,
-                           budget=divisor_core.DEFAULT_SIEVE_BUDGET):
+def smoothed_delta_average(x, h0, n_terms):
     """Average of delta((x+h)^2) over h in [0,h0] vs its kernel series."""
     if x < 0.9:
         raise DomainError(f"need x >= 0.9, got {x}")
     if h0 <= 0:
         raise DomainError(f"need h0 > 0, got {h0}")
     require_count("n_terms", n_terms)
-    need = max(int(math.floor((x + h0) ** 2)) + 1, n_terms)
-    if table is None:
-        table = divisor_core.sieve_divisors(need, budget=budget)
-    elif table.limit < need:
-        raise ResourceError(f"table covers {table.limit}, need {need}")
+    table = divisor_core.sieve_divisors(max(int(math.floor((x + h0) ** 2)) + 1, n_terms))
     cumsum = table.summatory()
-    betas = voronoi.default_betas(alpha0)
+    betas = voronoi.default_betas(ALPHA0)
     lhs = _delta_average_exact(x, h0, cumsum)
     rhs = math.fsum(
-        float(table.values[n]) * _phi_average(n, x, h0, alpha0, betas)
+        float(table.values[n]) * _phi_average(n, x, h0, betas)
         for n in range(1, n_terms + 1)
     )
     return ResidualReport(
         lhs=lhs, rhs=rhs,
-        params={"x": x, "h0": h0, "n_terms": n_terms, "alpha0": alpha0},
+        params={"x": x, "h0": h0, "n_terms": n_terms, "alpha0": ALPHA0},
     )
 
 
-def weighted_delta_average(x, h1, h2, weight, n_terms, alpha0=1, table=None,
-                           budget=divisor_core.DEFAULT_SIEVE_BUDGET):
+def weighted_delta_average(x, h1, h2, weight, n_terms):
     """int_{h1}^{h2} g(h) delta((x+h)^2) dh vs the kernel series, for a
     smooth weight g; reduces to the plain average when g = 1."""
     if not h1 < h2:
@@ -415,11 +402,7 @@ def weighted_delta_average(x, h1, h2, weight, n_terms, alpha0=1, table=None,
     if x + h1 < 0.9:
         raise DomainError(f"need x + h1 >= 0.9, got {x + h1}")
     require_count("n_terms", n_terms)
-    need = max(int(math.floor((x + h2) ** 2)) + 1, n_terms)
-    if table is None:
-        table = divisor_core.sieve_divisors(need, budget=budget)
-    elif table.limit < need:
-        raise ResourceError(f"table covers {table.limit}, need {need}")
+    table = divisor_core.sieve_divisors(max(int(math.floor((x + h2) ** 2)) + 1, n_terms))
     cumsum = table.summatory()
 
     lo_sq, hi_sq = (x + h1) ** 2, (x + h2) ** 2
@@ -438,13 +421,13 @@ def weighted_delta_average(x, h1, h2, weight, n_terms, alpha0=1, table=None,
         lhs_parts.append(-smooth_integral(g_smooth, a_h, b_h, panels=8))
     lhs = math.fsum(lhs_parts)
 
-    betas = voronoi.default_betas(alpha0)
+    betas = voronoi.default_betas(ALPHA0)
     rhs_parts = []
     for n in range(1, n_terms + 1):
         omega = 4.0 * math.pi * math.sqrt(n)
         acc = 0.0
-        for alpha in range(alpha0 + 1):
-            c = betas[alpha] * n**-0.75 / (math.sqrt(2.0) * math.pi)
+        for alpha, beta in enumerate(betas):
+            c = beta * n**-0.75 / (math.sqrt(2.0) * math.pi)
             c /= (4.0 * math.pi * math.sqrt(n)) ** alpha
             phase = -math.pi / 4.0 + alpha * math.pi / 2.0
             g = lambda u: np.asarray(weight(u - x)) * u ** (0.5 - alpha)
@@ -453,5 +436,5 @@ def weighted_delta_average(x, h1, h2, weight, n_terms, alpha0=1, table=None,
     rhs = math.fsum(rhs_parts)
     return ResidualReport(
         lhs=lhs, rhs=rhs,
-        params={"x": x, "h1": h1, "h2": h2, "n_terms": n_terms, "alpha0": alpha0},
+        params={"x": x, "h1": h1, "h2": h2, "n_terms": n_terms, "alpha0": ALPHA0},
     )

@@ -203,13 +203,14 @@ def verify_theta(spec, tol_scale=1e-10, max_terms=MAX_TERMS):
     )
 
 
-def random_spec(rng, re_v=(0.2, 5.0), b_max=2.0, m0_max=6, x_max=1.0):
-    """One random ThetaSpec in the standard sweep box."""
-    v = complex(rng.uniform(*re_v), rng.uniform(-2.0, 2.0))
-    b = rng.uniform(-b_max, b_max)
-    m0 = int(rng.integers(0, m0_max + 1))
+def random_spec(rng):
+    """One random ThetaSpec in the standard sweep box: Re V in [0.2, 5],
+    Im V in [-2, 2], b in [-2, 2], m0 in 0..6 and |x| <= 1."""
+    v = complex(rng.uniform(0.2, 5.0), rng.uniform(-2.0, 2.0))
+    b = rng.uniform(-2.0, 2.0)
+    m0 = int(rng.integers(0, 7))
     ang = rng.uniform(0, 2 * math.pi)
-    rad = rng.uniform(0, x_max)
+    rad = rng.uniform(0, 1.0)
     x = complex(rad * math.cos(ang), rad * math.sin(ang))
     return ThetaSpec(v=v, b=b, m0=m0, x=x)
 

@@ -50,10 +50,27 @@ def _check(name, tag, residual, threshold, passed=None, **details):
     }
 
 
-def _tol(config, name, default):
+#: every threshold a config may override, by check name, with its default
+TOLERANCES = {
+    "chi-critical-line-modulus": CHI_CRITICAL_TOL,
+    "chi-reflection": CHI_REFLECTION_TOL,
+    "theta-identity": THETA_TOL_SCALE,
+    "series-residual-ceiling": VORONOI_RATIO_CEILING,
+    "kernel-order-reduction": 1e-12,
+    "fourier-dual-error-rate": LEMMA33_ERROR_TIMES_N,
+    "main-term-quadrature": 1e-10,
+    "event-driven-vs-riemann": 1e-9,
+    "constant-weight-reduction": 1e-9,
+    "order-shuffled-resummation": 1e-9,
+    "bound-ratio-sweep": EXPSUM_RATIO_CEILING,
+    "difference-linearity": 1e-12,
+}
+
+
+def _tol(config, name):
     if config is not None and name in config.tolerances:
         return float(config.tolerances[name])
-    return default
+    return TOLERANCES[name]
 
 
 # ------------------------------------------------------------- coeffs
@@ -155,7 +172,7 @@ def suite_coeffs(config=None, count=100, seed=0):
             "chi-critical-line-modulus",
             "|1/chi(1/2 + it)| = 1",
             abs(mod - 1.0),
-            _tol(config, "chi-critical-line-modulus", CHI_CRITICAL_TOL),
+            _tol(config, "chi-critical-line-modulus"),
         )
     )
     ratio = abs(special_functions.chi_factor(1.1, 100.0)) / (100.0 / (2 * math.pi)) ** 0.6
@@ -192,7 +209,7 @@ def suite_coeffs(config=None, count=100, seed=0):
             "chi-reflection",
             "chi(s) chi(1-s) = 1 via the Gamma-product on both factors",
             worst,
-            _tol(config, "chi-reflection", CHI_REFLECTION_TOL),
+            _tol(config, "chi-reflection"),
             samples=count,
         )
     )
@@ -202,7 +219,7 @@ def suite_coeffs(config=None, count=100, seed=0):
 # -------------------------------------------------------------- theta
 
 def suite_theta(config=None, count=1000, seed=0):
-    tol_scale = _tol(config, "theta-identity", THETA_TOL_SCALE)
+    tol_scale = _tol(config, "theta-identity")
     reports = theta_transform.theta_sweep(count, seed, tol_scale=tol_scale)
     worst = max(r.rel_residual for r in reports)
     failures = sum(not r.passed for r in reports)
@@ -242,7 +259,7 @@ def suite_voronoi(config=None, count=50, seed=0):
             "series-residual-ceiling",
             "|residual| / (x^(1/2+eps) N^(-1/2) + x^eps) under the recorded ceiling",
             worst_ratio,
-            _tol(config, "series-residual-ceiling", VORONOI_RATIO_CEILING),
+            _tol(config, "series-residual-ceiling"),
         )
     )
     rng = np.random.default_rng(seed)
@@ -259,7 +276,7 @@ def suite_voronoi(config=None, count=50, seed=0):
             "kernel-order-reduction",
             "order-lambda kernel at lam=2 reproduces the base kernel",
             worst,
-            _tol(config, "kernel-order-reduction", 1e-12),
+            _tol(config, "kernel-order-reduction"),
         )
     )
     return checks
@@ -279,7 +296,7 @@ def suite_lemma33(config=None, count=0, seed=0):
             "fourier-dual-error-rate",
             "sum_{a<=n<=b} f(n) = Fourier dual + sigma0(a) + sigma0(b) + O((M1+(b-a)M2)/N)",
             worst,
-            _tol(config, "fourier-dual-error-rate", LEMMA33_ERROR_TIMES_N),
+            _tol(config, "fourier-dual-error-rate"),
             exact=385.0,
         )
     )
@@ -337,7 +354,7 @@ def suite_lemma23(config=None, count=20, seed=0):
             "main-term-quadrature",
             "(1/h0) iint f (log x + 2 gamma) dx dh against the closed antiderivative",
             abs(got - closed),
-            _tol(config, "main-term-quadrature", 1e-10),
+            _tol(config, "main-term-quadrature"),
         )
     )
     # collapse: with beta0 below both fractional gaps the average equals
@@ -382,7 +399,7 @@ def suite_lemma23(config=None, count=20, seed=0):
             "event-driven-vs-riemann",
             "breakpoint integration of the h-average against a midpoint oracle within its resolution",
             worst,
-            _tol(config, "event-driven-vs-riemann", 1e-9),
+            _tol(config, "event-driven-vs-riemann"),
             samples=count,
         )
     )
@@ -455,7 +472,7 @@ def suite_lemma25(config=None, count=0, seed=0):
             "constant-weight-reduction",
             "weight g = 1 reduces the weighted variant to the plain average",
             abs(w.lhs - plain.lhs * h0) + abs(w.rhs - plain.rhs * h0),
-            _tol(config, "constant-weight-reduction", 1e-9),
+            _tol(config, "constant-weight-reduction"),
         )
     )
     return checks
@@ -478,7 +495,7 @@ def suite_expsum(config=None, count=300, seed=0):
             "order-shuffled-resummation",
             "compensated sum equals a sorted-order fsum of the same terms",
             abs(h - oracle) / max(1.0, abs(oracle)),
-            _tol(config, "order-shuffled-resummation", 1e-9),
+            _tol(config, "order-shuffled-resummation"),
         )
     )
     scale = float(np.sum(table.values[2 : 10**3 + 1] * n**-0.25))
@@ -504,7 +521,7 @@ def suite_expsum(config=None, count=300, seed=0):
             "bound-ratio-sweep",
             "|H| / ((a^(1/4-alpha)+b^(1/4-alpha)) X^(1/4)) under the recorded ceiling",
             worst,
-            _tol(config, "bound-ratio-sweep", EXPSUM_RATIO_CEILING),
+            _tol(config, "bound-ratio-sweep"),
             samples=count,
         )
     )
@@ -612,7 +629,7 @@ def suite_diffop(config=None, count=0, seed=0):
             "difference-linearity",
             "Delta^K (c1 f + c2 g) = c1 Delta^K f + c2 Delta^K g",
             lin_worst,
-            _tol(config, "difference-linearity", 1e-12),
+            _tol(config, "difference-linearity"),
         )
     )
     return checks
@@ -729,10 +746,14 @@ SUITES = tuple(_SUITE_FNS)
 def run_verify(suite, count=None, seed=0, config=None):
     """Run one suite (or 'all'); returns the deterministic report dict.
 
-    ``count`` overrides each suite's own default sample count.
+    ``count`` overrides each suite's own default sample count.  A
+    tolerance override must name a key of ``TOLERANCES``.
     """
     if count is not None:
         require_count("count", count)
+    unknown = sorted(set(config.tolerances) - set(TOLERANCES)) if config is not None else []
+    if unknown:
+        raise DomainError(f"unknown tolerance {unknown[0]!r}; choose from {', '.join(TOLERANCES)}")
     if suite == "all":
         names = list(SUITES)
     elif suite in _SUITE_FNS:

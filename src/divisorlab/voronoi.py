@@ -19,7 +19,7 @@ d(n) phi(n, x) at alpha0 = 0 (single-phase form) or alpha0 = 1.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -40,7 +40,6 @@ class SeriesResidual:
     n_terms: int
     approx: float
     exact: float
-    eps: float = field(default=BOUND_EPS)
 
     @property
     def residual(self):
@@ -48,7 +47,7 @@ class SeriesResidual:
 
     @property
     def bound_scale(self):
-        return self.x ** (0.5 + self.eps) * self.n_terms**-0.5 + self.x**self.eps
+        return self.x ** (0.5 + BOUND_EPS) * self.n_terms**-0.5 + self.x**BOUND_EPS
 
 
 @lru_cache(maxsize=32)
@@ -56,17 +55,13 @@ def _gamma_floats(alpha0):
     return special_functions.derive_kernel_coefficients(alpha0).as_floats()
 
 
-def theta_kernel(n, x, alpha0, coeffs=None):
+def theta_kernel(n, x, alpha0):
     """Truncated oscillatory kernel Theta(nx); the tail term is measured
     by callers, never modeled here."""
     nx = n * x
     if nx <= 0:
         raise DomainError(f"need n*x > 0, got {nx}")
-    gam = coeffs if coeffs is not None else _gamma_floats(alpha0)
-    if len(gam) < alpha0 + 1:
-        raise PrecisionError(
-            f"kernel order {alpha0} needs {alpha0 + 1} coefficients, got {len(gam)}"
-        )
+    gam = _gamma_floats(alpha0)
     root = math.sqrt(nx)
     phase0 = 4.0 * math.pi * root + math.pi / 4.0
     acc = 0.0
@@ -163,75 +158,71 @@ def _require_non_integer(x):
         )
 
 
-def _series_weights(n_terms, exponent, table):
-    if table is None or table.limit < n_terms:
-        table = divisor_core.sieve_divisors(n_terms)
+def _series_weights(n_terms, exponent):
+    table = divisor_core.sieve_divisors(n_terms)
     n = np.arange(1, n_terms + 1, dtype=np.float64)
     w = table.values[1 : n_terms + 1].astype(np.float64) * n**exponent
     return w, np.sqrt(n)
 
 
-def truncated_delta(x, n_terms, table=None, eps=BOUND_EPS):
+def truncated_delta(x, n_terms):
     """Single-phase N-term series vs exact delta(x)."""
     _require_non_integer(x)
     require_count("n_terms", n_terms)
-    w, sqrtn = _series_weights(n_terms, -0.75, table)
+    w, sqrtn = _series_weights(n_terms, -0.75)
     total = _kernels.cos_sum(w, sqrtn, 4.0 * math.pi * math.sqrt(x), -math.pi / 4.0)
     approx = x**0.25 / (math.pi * math.sqrt(2.0)) * total
-    exact = divisor_core.delta(x, table=None).delta
-    return SeriesResidual(x=float(x), n_terms=n_terms, approx=approx, exact=exact, eps=eps)
+    exact = divisor_core.delta(x).delta
+    return SeriesResidual(x=float(x), n_terms=n_terms, approx=approx, exact=exact)
 
 
-def phi_correction_series(x, n_terms, table=None):
+def phi_correction_series(x, n_terms):
     """The alpha = 1 correction series alone (beta_1 term of phi)."""
-    w, sqrtn = _series_weights(n_terms, -1.25, table)
+    w, sqrtn = _series_weights(n_terms, -1.25)
     total = _kernels.cos_sum(w, sqrtn, 4.0 * math.pi * math.sqrt(x), math.pi / 4.0)
     return x**0.25 / (math.pi * math.sqrt(2.0)) * (3.0 / (8.0 * 4.0 * math.pi)) * x**-0.5 * total
 
 
-def phi_series_delta(x, n_terms, table=None, eps=BOUND_EPS):
+def phi_series_delta(x, n_terms):
     """Two-phase kernel series (alpha0 = 1) vs exact delta(x)."""
     _require_non_integer(x)
     require_count("n_terms", n_terms)
-    base = truncated_delta(x, n_terms, table=table, eps=eps)
-    approx = base.approx + phi_correction_series(x, n_terms, table=table)
-    return SeriesResidual(x=float(x), n_terms=n_terms, approx=approx, exact=base.exact, eps=eps)
+    base = truncated_delta(x, n_terms)
+    approx = base.approx + phi_correction_series(x, n_terms)
+    return SeriesResidual(x=float(x), n_terms=n_terms, approx=approx, exact=base.exact)
 
 
 # ----------------------------------------------------- convergence scans
 
-def decade_ensemble(x_base, count=50, seed=0, width_frac=0.1):
+#: width of a decade's sample window, relative to its base
+WIDTH_FRAC = 0.1
+
+
+def decade_ensemble(x_base, count=50, seed=0):
     """Deterministic non-integer sample points near x_base.
 
-    Offsets are seeded-uniform over [0, width_frac * x_base] so the
-    ensemble spans many periods of the slowest surviving series mode
+    Offsets are seeded-uniform over [0, 0.1 x_base] (``WIDTH_FRAC``) so
+    the ensemble spans many periods of the slowest surviving series mode
     (wavelength ~ sqrt(x)); a fixed-width window would leave the samples
     phase-correlated at large x and the median unstable.
     """
     rng = np.random.default_rng(seed)
-    offs = np.floor(rng.uniform(0.0, width_frac * x_base, size=count))
+    offs = np.floor(rng.uniform(0.0, WIDTH_FRAC * x_base, size=count))
     return [x_base + 0.5 + off for off in offs]
 
 
-def convergence_report(
-    x_bases=(10**3, 10**4, 10**5),
-    n_values=(10, 100, 1000, 10000),
-    count=50,
-    seed=0,
-    width_frac=0.1,
-    table=None,
-):
-    """Median-residual decay of the truncated series.
+def convergence_report(count=50, seed=0):
+    """Median-residual decay of the truncated series at N = 10, 100, 1000
+    and 10000 over ``decade_ensemble`` near 10^3, 10^4 and 10^5.
 
     Returns per-decade medians and slopes plus the pooled slope over the
     full three-decade ensemble (one median per N across all decades); the
     pooled slope is the headline convergence measurement.
     """
     require_count("count", count)
-    n_values = sorted(n_values)
+    n_values = [10, 100, 1000, 10000]
     n_max = n_values[-1]
-    if table is None or table.limit < n_max:
-        table = divisor_core.sieve_divisors(n_max)
+    table = divisor_core.sieve_divisors(n_max)
     n = np.arange(1, n_max + 1, dtype=np.float64)
     w = table.values[1 : n_max + 1].astype(np.float64) * n**-0.75
     sqrtn = np.sqrt(n)
@@ -239,9 +230,9 @@ def convergence_report(
 
     decades = {}
     pooled = {nv: [] for nv in n_values}
-    for x_base in x_bases:
+    for x_base in (10**3, 10**4, 10**5):
         rows = {nv: [] for nv in n_values}
-        for x in decade_ensemble(x_base, count=count, seed=seed, width_frac=width_frac):
+        for x in decade_ensemble(x_base, count=count, seed=seed):
             partials = _kernels.cos_sum_checkpoints(
                 w, sqrtn, 4.0 * math.pi * math.sqrt(x), -math.pi / 4.0, stops
             )
@@ -269,10 +260,10 @@ def convergence_report(
         np.polyfit(np.log(n_values), np.log([pooled_medians[nv] for nv in n_values]), 1)[0]
     )
     return {
-        "n_values": list(n_values),
+        "n_values": n_values,
         "count": count,
         "seed": seed,
-        "width_frac": width_frac,
+        "width_frac": WIDTH_FRAC,
         "decades": decades,
         "pooled_medians": pooled_medians,
         "pooled_slope": pooled_slope,

@@ -224,12 +224,6 @@ class TestSubcommands:
         data = json.loads(out)
         assert abs(data["lambda"]) <= data["triangle_ceiling"]
 
-    def test_construct_scan(self, capsys, tmp_path):
-        out_path = tmp_path / "scan.csv"
-        code, _, _ = run(capsys, "construct", "scan", "--to", "50", "--out", str(out_path))
-        assert code == 0
-        assert len(out_path.read_text().strip().split("\n")) == 51
-
 
 class TestVerifyDeterminism:
     def test_byte_identical_reports(self, capsys, tmp_path):
@@ -274,10 +268,12 @@ class TestRemovedKnobs:
             assert got == unset[argv]
 
     def test_config_with_thread_count_loads(self, tmp_path):
-        old, new = tmp_path / "old.json", tmp_path / "new.json"
-        old.write_text(json.dumps({"seed": 3, "thread_count": 4}))
+        new = tmp_path / "new.json"
         new.write_text(json.dumps({"seed": 3}))
-        assert load_config(old).config_hash() == load_config(new).config_hash()
+        for removed in ({"thread_count": 4}, {"output": {"path": "o.json", "format": "json"}}):
+            old = tmp_path / "old.json"
+            old.write_text(json.dumps({"seed": 3, **removed}))
+            assert load_config(old).config_hash() == load_config(new).config_hash()
 
 
 class TestBadInput:
@@ -306,11 +302,13 @@ class TestBadInput:
             ("[1, 2]", ("verify", "coeffs", "--config")),
             (json.dumps({"tolerances": [1]}), ("verify", "coeffs", "--config")),
             (json.dumps({"tolerances": {"theta-identity": "tight"}}), ("verify", "coeffs", "--config")),
+            (json.dumps({"tolerances": {"kernel-coefficient-tabel": 1e-3}}), ("verify", "coeffs", "--config")),
             (json.dumps({"c1": [0.0]}), ("construct", "lambda", "--x", "1e4", "--coeffs")),
             (json.dumps({"c1": 5, "c2": 5}), ("construct", "lambda", "--x", "1e4", "--coeffs")),
         ],
         ids=[
             "config-bad-json", "config-list", "config-tolerances-list", "config-text-tolerance",
+            "config-unknown-tolerance",
             "coeffs-no-c2", "coeffs-scalar",
         ],
     )

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from divisorlab import construction as con
-from divisorlab.errors import DomainError, PrecisionError, ResourceError
+from divisorlab.errors import DomainError, PrecisionError
 
 
-def quiet_params(x, x2, c0, **kw):
+def quiet_params(x, x2, c0):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", con.ScaledRegimeWarning)
-        return con.build_params(x, x2, c0, **kw)
+        return con.build_params(x, x2, c0)
 
 
 class TestBuildParams:
@@ -30,11 +30,6 @@ class TestBuildParams:
         assert p.a_gauss == pytest.approx(7.4338e5, rel=1e-4)
         assert p.xi2 - p.xi1 == pytest.approx(1.25e-4, abs=0.0)
         assert p.k_diff == int(200 * p.log_x2 / math.log(p.log_x2))
-
-    def test_m0_factor_variants(self):
-        p1 = con.build_params(10**6, 10**6, 200.0, m0_factor=1)
-        p2 = con.build_params(10**6, 10**6, 200.0, m0_factor=2)
-        assert p2.m0 == 2 * p1.m0
 
     def test_scaled_regime_warns(self):
         with pytest.warns(con.ScaledRegimeWarning):
@@ -141,18 +136,18 @@ class TestNegativeControl:
 
 
 class TestLambdaEvaluator:
-    def test_zero_coefficients(self, table_1e4):
+    def test_zero_coefficients(self):
         p = con.build_params(10**4, 10**4, 200.0)
         c1 = np.zeros(4 * p.k_diff)
         c2 = np.zeros(4 * p.k_diff + 2)
-        assert con.lambda_evaluator(10**4, p, c1, c2, 10**3, table=table_1e4) == 0.0
+        assert con.lambda_evaluator(10**4, p, c1, c2, 10**3) == 0.0
 
-    def test_single_term(self, table_1e4):
+    def test_single_term(self):
         p = con.build_params(10**4, 10**4, 200.0)
         c1 = np.zeros(4 * p.k_diff)
         c1[0] = 1.0
         c2 = np.zeros(4 * p.k_diff + 2)
-        got = con.lambda_evaluator(10**4, p, c1, c2, 1, table=table_1e4)
+        got = con.lambda_evaluator(10**4, p, c1, c2, 1)
         x = 10**4
         want = (
             x
@@ -161,7 +156,7 @@ class TestLambdaEvaluator:
         )
         assert got == pytest.approx(want, rel=1e-12)
 
-    def test_linear_superposition(self, table_1e4, rng):
+    def test_linear_superposition(self, rng):
         p = con.build_params(10**4, 10**4, 200.0)
         n1, n2 = 4 * p.k_diff, 4 * p.k_diff + 2
         a1, a2 = rng.uniform(-1, 1, n1), rng.uniform(-1, 1, n2)
@@ -171,24 +166,24 @@ class TestLambdaEvaluator:
             arr[np.abs(arr) < 0.97] = 0.0
         for arr in (a2, b2):
             arr[np.abs(arr) < 0.97] = 0.0
-        kw = dict(n_cut=200, table=table_1e4)
+        kw = dict(n_cut=200)
         lhs = con.lambda_evaluator(10**4, p, a1 + b1, a2 + b2, **kw)
         rhs = con.lambda_evaluator(10**4, p, a1, a2, **kw) + con.lambda_evaluator(
             10**4, p, b1, b2, **kw
         )
         assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(rhs)))
 
-    def test_triangle_ceiling(self, table_1e4, rng):
+    def test_triangle_ceiling(self, rng):
         p = con.build_params(10**4, 10**4, 200.0)
         c1 = rng.uniform(-2, 2, 4 * p.k_diff)
         c2 = rng.uniform(-2, 2, 4 * p.k_diff + 2)
         c1[np.abs(c1) < 1.9] = 0.0
         c2[np.abs(c2) < 1.9] = 0.0
-        val = con.lambda_evaluator(10**4, p, c1, c2, 300, table=table_1e4)
-        ceiling = con.lambda_triangle_ceiling(p, c1, c2, 300, table=table_1e4)
+        val = con.lambda_evaluator(10**4, p, c1, c2, 300)
+        ceiling = con.lambda_triangle_ceiling(p, c1, c2, 300)
         assert abs(val) <= ceiling
 
-    def test_shape_validation(self, table_1e4):
+    def test_shape_validation(self):
         p = con.build_params(10**4, 10**4, 200.0)
         with pytest.raises(DomainError):
             con.lambda_evaluator(10**4, p, np.zeros(3), np.zeros(4 * p.k_diff + 2), 10)
@@ -200,21 +195,15 @@ class TestToyComposition:
         assert out["value"] == 0.0
         assert out["window_sums_checked"] > 10**4
 
-    def test_caps(self):
-        with pytest.raises(ResourceError):
-            con.toy_omega(k_steps=11)
-        with pytest.raises(ResourceError):
-            con.toy_omega(m0=11)
-
 
 class TestExponentScan:
-    def test_bands(self, table_1e6):
-        scan = con.delta_exponent_scan(10**6, table=table_1e6)
+    def test_bands(self):
+        scan = con.delta_exponent_scan(10**6)
         assert 1.4 <= scan["mean_square_exponent"] <= 1.6
         assert 0.15 <= scan["max_abs_slope"] <= 0.40
 
-    def test_sign_changes(self, table_1e6):
-        scan = con.delta_exponent_scan(10**6, table=table_1e6)
+    def test_sign_changes(self):
+        scan = con.delta_exponent_scan(10**6)
         for block in scan["blocks"]:
             if block["t"] >= 6:
                 assert block["sign_changes"] > 0

@@ -275,6 +275,14 @@ class TestDeltaScan:
             with pytest.raises(DomainError):
                 delta_scan(*bad)
 
+    def test_point_count_bounded_before_work(self, monkeypatch):
+        def no_sieve(*args, **kwargs):
+            raise AssertionError("sieved above the point cap")
+
+        monkeypatch.setattr(divisor_core, "sieve_divisors", no_sieve)
+        with pytest.raises(ResourceError):
+            delta_scan(1, divisor_core.MAX_SCAN_POINTS + 1, 1)
+
     def test_jumps_only_at_integers(self):
         pts = delta_scan(2.5, 40.5, 0.5)
         for prev, cur in zip(pts[:-1], pts[1:]):

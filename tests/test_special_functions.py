@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from divisorlab import special_functions as sf
-from divisorlab.errors import DomainError, PrecisionError
+from divisorlab.errors import DomainError
 
 
 class TestStirlingTail:
@@ -70,10 +70,6 @@ class TestKernelCoefficients:
         assert got[4] == F(3675, 2**15)
         assert got[5] == F(-59535, 2**18)
         assert got[6] == F(2401245, 2**22)
-
-    def test_short_series_rejected(self):
-        with pytest.raises(PrecisionError):
-            sf.derive_kernel_coefficients(6, series=sf.mu2_series(3))
 
     def test_roundtrip_exact(self):
         coeffs = sf.derive_kernel_coefficients(8)

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from divisorlab import divisor_core, summation_formulas as smf
+from divisorlab import divisor_core, summation_formulas as smf, voronoi
 from divisorlab.descriptors import ConstantFn, PowerFn
 from divisorlab.divisor_core import EULER_GAMMA
-from divisorlab.errors import DomainError, ResourceError
+from divisorlab.errors import DomainError
 
 
 class TestFourierSum:
@@ -116,7 +116,7 @@ class TestAveragedSum:
     def test_against_riemann_example(self, table_1e4):
         spec = smf.AveragedSumSpec(a=3.1, b=5.2, h0=0.05)
         exact = smf.averaged_divisor_sum(spec, table=table_1e4)
-        oracle = smf.averaged_divisor_sum_riemann(spec, nodes=10**6, table=table_1e4)
+        oracle = smf.averaged_divisor_sum_riemann(spec, nodes=10**6)
         assert exact == pytest.approx(oracle, rel=1e-9)
 
     def test_against_riemann_sweep(self, rng):
@@ -134,16 +134,16 @@ class TestAveragedSum:
 
 
 class TestSmoothedVoronoi:
-    def test_zero_function(self, table_1e4):
+    def test_zero_function(self):
         spec = smf.AveragedSumSpec(a=10.1, b=11.2, h0=0.05, f=ConstantFn(0.0))
-        rep = smf.smoothed_voronoi_check(spec, 50, table=table_1e4)
+        rep = smf.smoothed_voronoi_check(spec, 50)
         assert rep.lhs == 0.0
         assert rep.rhs == pytest.approx(0.0, abs=1e-12)
 
-    def test_residual_decays(self, table_1e4):
+    def test_residual_decays(self):
         spec = smf.AveragedSumSpec(a=30.1, b=31.4, h0=0.1, f=PowerFn(-0.25))
-        r10 = smf.smoothed_voronoi_check(spec, 10, table=table_1e4)
-        r1k = smf.smoothed_voronoi_check(spec, 1000, table=table_1e4)
+        r10 = smf.smoothed_voronoi_check(spec, 10)
+        r1k = smf.smoothed_voronoi_check(spec, 1000)
         assert abs(r1k.residual) < abs(r10.residual)
 
     def test_main_term_closed_form(self):
@@ -173,9 +173,9 @@ class TestSmoothedDeltaAverage:
         lhs = smf._delta_average_exact(x, 1e-9, table_1e4.summatory())
         assert lhs == pytest.approx(divisor_core.delta(x * x).delta, abs=1e-6)
 
-    def test_decay(self, table_1e4):
-        r10 = smf.smoothed_delta_average(31.62, 0.01, 10, table=table_1e4)
-        r1k = smf.smoothed_delta_average(31.62, 0.01, 1000, table=table_1e4)
+    def test_decay(self):
+        r10 = smf.smoothed_delta_average(31.62, 0.01, 10)
+        r1k = smf.smoothed_delta_average(31.62, 0.01, 1000)
         assert abs(r1k.residual) < abs(r10.residual)
 
     def test_breakpoint_integration(self, table_1e4):
@@ -187,29 +187,25 @@ class TestSmoothedDeltaAverage:
         vals = [divisor_core.delta_from_cumsum((x + h) ** 2, cumsum).delta for h in hs]
         assert lhs == pytest.approx(float(np.mean(vals)), abs=5e-4)
 
-    def test_constant_weight_reduces(self, table_1e4):
+    def test_constant_weight_reduces(self):
         x, h0 = 31.62, 0.01
-        w = smf.weighted_delta_average(x, 0.0, h0, ConstantFn(1.0), 150, table=table_1e4)
-        plain = smf.smoothed_delta_average(x, h0, 150, table=table_1e4)
+        w = smf.weighted_delta_average(x, 0.0, h0, ConstantFn(1.0), 150)
+        plain = smf.smoothed_delta_average(x, h0, 150)
         assert w.lhs == pytest.approx(plain.lhs * h0, abs=1e-9)
         assert w.rhs == pytest.approx(plain.rhs * h0, abs=1e-12)
 
     def test_table_covers_n_terms(self):
-        # (x + h)^2 ~ 1000 < n_terms: the table must reach n_terms too
+        # (x + h)^2 ~ 1000 < n_terms: the sieve must reach n_terms too, and
+        # the series must sum every one of the n_terms terms
         x, h0, n_terms = 31.62, 0.01, 1500
-        wide = divisor_core.sieve_divisors(3000, 2)
-        short = divisor_core.sieve_divisors(1100, 2)
-        assert smf.smoothed_delta_average(x, h0, n_terms) == smf.smoothed_delta_average(
-            x, h0, n_terms, table=wide
+        plain = smf.smoothed_delta_average(x, h0, n_terms)
+        want = math.fsum(
+            divisor_core.divisor_count(n) * smf._phi_average(n, x, h0, voronoi.PHI_BETAS)
+            for n in range(1, n_terms + 1)
         )
-        one = ConstantFn(1.0)
-        assert smf.weighted_delta_average(x, 0.0, h0, one, n_terms) == smf.weighted_delta_average(
-            x, 0.0, h0, one, n_terms, table=wide
-        )
-        with pytest.raises(ResourceError):
-            smf.smoothed_delta_average(x, h0, n_terms, table=short)
-        with pytest.raises(ResourceError):
-            smf.weighted_delta_average(x, 0.0, h0, one, n_terms, table=short)
+        assert plain.rhs == want
+        w = smf.weighted_delta_average(x, 0.0, h0, ConstantFn(1.0), n_terms)
+        assert w.rhs == pytest.approx(plain.rhs * h0, abs=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -149,9 +149,9 @@ class TestTruncatedSeries:
 class TestPhiSeries:
     def test_regrouping_identity(self, table_1e4):
         x, n = 100.5, 500
-        combined = voronoi.phi_series_delta(x, n, table=table_1e4)
-        base = voronoi.truncated_delta(x, n, table=table_1e4)
-        corr = voronoi.phi_correction_series(x, n, table=table_1e4)
+        combined = voronoi.phi_series_delta(x, n)
+        base = voronoi.truncated_delta(x, n)
+        corr = voronoi.phi_correction_series(x, n)
         assert combined.approx == pytest.approx(base.approx + corr, abs=1e-12)
         # the same series through the companion kernel, term by term
         direct = math.fsum(
@@ -161,7 +161,7 @@ class TestPhiSeries:
 
     def test_correction_ceiling(self, table_1e4):
         x, n = 100.5, 1000
-        corr = voronoi.phi_correction_series(x, n, table=table_1e4)
+        corr = voronoi.phi_correction_series(x, n)
         ns = np.arange(1, n + 1, dtype=np.float64)
         ceiling = (
             3.0
@@ -173,8 +173,8 @@ class TestPhiSeries:
 
     def test_triangle_inequality(self, table_1e4):
         x, n = 100.5, 1000
-        combined = voronoi.phi_series_delta(x, n, table=table_1e4)
-        base = voronoi.truncated_delta(x, n, table=table_1e4)
+        combined = voronoi.phi_series_delta(x, n)
+        base = voronoi.truncated_delta(x, n)
         ns = np.arange(1, n + 1, dtype=np.float64)
         ceiling = (
             3.0
@@ -187,16 +187,12 @@ class TestPhiSeries:
 
 class TestConvergence:
     def test_low_decade_smoke(self):
-        rep = voronoi.convergence_report(
-            x_bases=(10**3,), n_values=(10, 100, 1000), count=20, seed=0
-        )
+        rep = voronoi.convergence_report(20, 0)
         med = rep["pooled_medians"]
         assert med[1000] < med[10]
         assert rep["pooled_slope"] < 0
 
     def test_residual_ceiling(self):
-        rep = voronoi.convergence_report(
-            x_bases=(10**3, 10**4), n_values=(10, 100), count=10, seed=1
-        )
+        rep = voronoi.convergence_report(10, 1)
         for data in rep["decades"].values():
             assert data["max_bound_ratio"] <= voronoi.RESIDUAL_CEILING

@@ -8,8 +8,13 @@ reduction, ``coeffs --lam 3`` and the ``exp`` function of ``diffop``), in this o
 tracer and inside a temporary directory.  Then prints
 
 * each function or method of src/divisorlab that no command entered, with
-  its line count, and
-* per module, the first line of each statement that never executed.
+  its line count,
+* per module, the first line of each statement that never executed, and
+* each parameter of a public function or method that every call left at
+  its default object, with the number of calls.  The test is identity, so
+  a caller that passes a value equal to the default but built elsewhere
+  counts as setting it; None, small ints and interned strings are shared
+  objects, so passing them explicitly does not.
 
 Docstrings are not statements.  A decorated function counts from its first
 decorator line, where Python starts its code object.  Commands that exit
@@ -23,6 +28,8 @@ Usage, from the repository root (takes about a minute):
 
 import ast
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import math
@@ -54,7 +61,6 @@ COMMANDS = (
     ("diffop", "check", "--k", "8", "--nu0", "0.001", "--radius", "0.05", "--fn", "sin", "--param", "10"),
     ("construct", "check", "--u", "1000000", "--c0", "200", "--samples", "10000", "--seed", "0"),
     ("construct", "lambda", "--coeffs", "c.json", "--x", "10000"),
-    ("construct", "scan", "--to", "100000", "--out", "delta.csv"),
     # variants the README documents outside that section
     ("compute", "--x", "10", "--json"),
     ("voronoi", "eval", "--x", "100.5", "--terms", "1000", "--kernel-order", "1"),
@@ -70,7 +76,6 @@ CONFIG = {
     "sieve_limit": 200000000,
     "tolerances": {"theta-identity": 1e-10},
     "seed": 0,
-    "output": {"path": "out.csv", "format": "csv"},
 }
 
 
@@ -86,18 +91,54 @@ def _write_inputs():
     Path("cfg.json").write_text(json.dumps(CONFIG))
 
 
+def _public_defaults():
+    """{code object: (module file name, qualified name, {parameter: default})}
+    for every public function and public-class method of the package."""
+    out = {}
+    for path in sorted(PKG.glob("*.py")):
+        if path.stem.startswith("_"):
+            continue
+        module = importlib.import_module(f"divisorlab.{path.stem}")
+        owners = [(module, "")] + [
+            (cls, name + ".") for name, cls in vars(module).items()
+            if inspect.isclass(cls) and cls.__module__ == module.__name__ and not name.startswith("_")
+        ]
+        for owner, prefix in owners:
+            for name, fn in vars(owner).items():
+                fn = inspect.unwrap(fn)
+                if name.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != module.__name__:
+                    continue
+                defaults = {
+                    p.name: p.default for p in inspect.signature(fn).parameters.values()
+                    if p.default is not inspect.Parameter.empty
+                }
+                if defaults:
+                    out[fn.__code__] = (path.name, prefix + name, defaults)
+    return out
+
+
 def _trace_commands():
     """Line numbers run per file of the package, the (file, first line) of
-    every code object entered there, and the commands that exited non-zero."""
+    every code object entered there, the commands that exited non-zero, and
+    per public function with defaults its call count and the parameters
+    some call set to another object."""
     prefix = str(PKG) + os.sep
     lines = defaultdict(set)
     entered = set()
+    watched = {}
+    calls = defaultdict(int)
+    set_params = defaultdict(set)
 
     def on_call(frame, event, arg):
         code = frame.f_code
         if not code.co_filename.startswith(prefix):
             return None
         entered.add((code.co_filename, code.co_firstlineno))
+        if code in watched:
+            calls[code] += 1
+            for name, default in watched[code][2].items():
+                if frame.f_locals[name] is not default:
+                    set_params[code].add(name)
         hit = lines[code.co_filename]
 
         def on_line(frame, event, arg):
@@ -113,6 +154,7 @@ def _trace_commands():
     try:
         from divisorlab import cli  # traced, so module-level statements count
 
+        watched.update(_public_defaults())
         for argv in COMMANDS:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
                 code = cli.main(list(argv))
@@ -120,7 +162,12 @@ def _trace_commands():
                 failed.append((argv, code, err.getvalue().strip()))
     finally:
         sys.settrace(None)
-    return lines, entered, failed
+    never_set = [
+        (module, name, param, calls[code])
+        for code, (module, name, defaults) in watched.items() if calls[code]
+        for param in defaults if param not in set_params[code]
+    ]
+    return lines, entered, failed, sorted(never_set)
 
 
 def _is_docstring(stmt):
@@ -198,7 +245,7 @@ def main():
         os.chdir(tmp)
         try:
             _write_inputs()
-            lines, entered, failed = _trace_commands()
+            lines, entered, failed, never_set = _trace_commands()
         finally:
             os.chdir(here)
 
@@ -225,6 +272,9 @@ def main():
         print(f"  {module}:{first}  {name}  ({n} lines)")
     print(f"statements never executed: {n_missed} of {n_stmts}")
     print("\n".join(report))
+    print(f"parameters every call left at the default: {len(never_set)}")
+    for module, name, param, n_calls in never_set:
+        print(f"  {module}  {name}({param})  ({n_calls} calls)")
 
 
 if __name__ == "__main__":
