@@ -49,6 +49,14 @@ def positive_int(text):
     return value
 
 
+def seed_int(text):
+    """argparse type for seeds: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value}")
+    return value
+
+
 def _load_coeffs(path):
     """The c1 and c2 arrays of a ``construct lambda --coeffs`` file."""
     raw = read_json(path)
@@ -122,7 +130,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run a named check suite")
     p.add_argument("suite", choices=verify.SUITES + ("all",))
     p.add_argument("--count", type=positive_int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=seed_int, default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)
 
@@ -134,7 +142,7 @@ def build_parser():
     pe.add_argument("--kernel-order", type=int, choices=(0, 1), default=0)
     ps = vsub.add_parser("slope")
     ps.add_argument("--count", type=positive_int, default=50)
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--seed", type=seed_int, default=0)
     ps.add_argument("--out", default=None)
 
     p = sub.add_parser("theta", help="Gaussian lattice-sum transform checks")
@@ -146,7 +154,7 @@ def build_parser():
     tv.add_argument("--x", type=_parse_complex, required=True, metavar="RE,IM")
     tw = tsub.add_parser("sweep")
     tw.add_argument("--count", type=positive_int, default=100)
-    tw.add_argument("--seed", type=int, default=0)
+    tw.add_argument("--seed", type=seed_int, default=0)
     tw.add_argument("--out", default=None)
 
     p = sub.add_parser("sumcheck", help="summation-formula residual checks")
@@ -177,7 +185,7 @@ def build_parser():
     ee.add_argument("--b", type=float, required=True)
     ew = esub.add_parser("sweep")
     ew.add_argument("--count", type=positive_int, default=200)
-    ew.add_argument("--seed", type=int, default=0)
+    ew.add_argument("--seed", type=seed_int, default=0)
     ew.add_argument("--out", default=None)
 
     p = sub.add_parser("diffop", help="K-fold difference operator checks")
@@ -195,7 +203,7 @@ def build_parser():
     cc.add_argument("--u", type=int, required=True)
     cc.add_argument("--c0", type=float, default=200.0)
     cc.add_argument("--samples", type=positive_int, default=1000)
-    cc.add_argument("--seed", type=int, default=0)
+    cc.add_argument("--seed", type=seed_int, default=0)
     cl = csub.add_parser("lambda")
     cl.add_argument("--coeffs", required=True, help="JSON file with c1[], c2[] arrays")
     cl.add_argument("--x", type=float, required=True)

@@ -2,11 +2,11 @@
 
 The config file is plain JSON with these keys (all optional):
 
-    sieve_limit   int, max table entries a sieve may allocate
-    tolerances    object, check-name -> threshold override
-    seed          int, base seed for every randomized sweep
+    sieve_limit   number >= 0, max table entries a sieve may allocate
+    tolerances    object, check-name -> threshold override (number >= 0)
+    seed          integer >= 0, base seed for every randomized sweep
 
-Other keys are ignored; a malformed file raises DomainError.
+Other keys are ignored; a malformed file or value raises DomainError.
 
 Identical (config, seed) pairs produce byte-identical outputs.
 """
@@ -26,6 +26,10 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not (isinstance(self.sieve_limit, (int, float)) and self.sieve_limit >= 0):
+            raise DomainError(f"sieve_limit must be a number >= 0, got {self.sieve_limit!r}")
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise DomainError(f"seed must be an integer >= 0, got {self.seed!r}")
         for name, tol in self.tolerances.items():
             try:
                 ok = float(tol) >= 0

@@ -18,6 +18,9 @@ fractional part is computed from the expanded square
 
 with the integer block exact in int arithmetic and only the O(1) bracket
 in floats; squaring B directly would need > 53 bits once U > 1e8.
+
+The Lambda evaluator runs its two blocks through one loop, each block
+with its columns d(n) n^-p and sqrt(n) from ``DivisorTable.series_columns``.
 """
 
 import math
@@ -324,6 +327,11 @@ def construct_check(u, c0, samples, seed):
 
 # ----------------------------------------------------- Lambda evaluator
 
+def _lambda_n_limit(p, n_cut):
+    """Terms of each inner sum: n_cut, capped at X2 log^2 X2 / V."""
+    return int(min(n_cut, math.floor(p.x2 * p.log_x2**2 / p.v_window)))
+
+
 def lambda_evaluator(x, p, c1, c2, n_cut):
     """Linear-in-coefficients double series
 
@@ -343,35 +351,22 @@ def lambda_evaluator(x, p, c1, c2, n_cut):
         raise DomainError(f"C1 must have length 4K = {4 * p.k_diff}, got {c1.size}")
     if c2.shape != (4 * p.k_diff + 2,):
         raise DomainError(f"C2 must have length 4K+2 = {4 * p.k_diff + 2}, got {c2.size}")
-    n_limit = int(min(n_cut, math.floor(p.x2 * p.log_x2**2 / p.v_window)))
+    n_limit = _lambda_n_limit(p, n_cut)
     if n_limit < 1:
         return 0.0
     table = divisor_core.sieve_divisors(n_limit)
-    n = np.arange(1, n_limit + 1, dtype=np.float64)
-    sqrtn = np.sqrt(n)
-    dn = table.values[1 : n_limit + 1].astype(np.float64)
-    w1 = dn * n**-1.25
-    w2 = dn * n**-1.75
     sx = math.sqrt(x)
+    blocks = (
+        (c1, -1.25, x / (p.m0 + 1) ** 2, -3.0 * math.pi / 4.0),
+        (c2, -1.75, sx / (p.m0 + 1), -5.0 * math.pi / 4.0),
+    )
     total = 0.0
-    for a_idx in np.nonzero(c1)[0]:
-        a = int(a_idx) + 1
-        c = 4.0 * math.pi * (sx + a * p.m0 / (2.0 * sx))
-        total += (
-            x
-            / (p.m0 + 1) ** 2
-            * float(c1[a_idx])
-            * _kernels.cos_sum(w1, sqrtn, c, -3.0 * math.pi / 4.0)
-        )
-    for a_idx in np.nonzero(c2)[0]:
-        a = int(a_idx) + 1
-        c = 4.0 * math.pi * (sx + a * p.m0 / (2.0 * sx))
-        total += (
-            sx
-            / (p.m0 + 1)
-            * float(c2[a_idx])
-            * _kernels.cos_sum(w2, sqrtn, c, -5.0 * math.pi / 4.0)
-        )
+    for coeffs, exponent, scale, phase in blocks:
+        w, sqrtn = table.series_columns(1, n_limit, exponent)
+        for a_idx in np.nonzero(coeffs)[0]:
+            a = int(a_idx) + 1
+            c = 4.0 * math.pi * (sx + a * p.m0 / (2.0 * sx))
+            total += scale * float(coeffs[a_idx]) * _kernels.cos_sum(w, sqrtn, c, phase)
     return total
 
 
@@ -379,12 +374,10 @@ def lambda_triangle_ceiling(p, c1, c2, n_cut):
     """Term-wise triangle-inequality ceiling for |Lambda(X)|."""
     c1 = np.asarray(c1, dtype=np.float64)
     c2 = np.asarray(c2, dtype=np.float64)
-    n_limit = int(min(n_cut, math.floor(p.x2 * p.log_x2**2 / p.v_window)))
+    n_limit = _lambda_n_limit(p, n_cut)
     table = divisor_core.sieve_divisors(n_limit)
-    n = np.arange(1, n_limit + 1, dtype=np.float64)
-    dn = table.values[1 : n_limit + 1].astype(np.float64)
-    s1 = float(np.sum(dn * n**-1.25))
-    s2 = float(np.sum(dn * n**-1.75))
+    s1 = float(np.sum(table.series_columns(1, n_limit, -1.25)[0]))
+    s2 = float(np.sum(table.series_columns(1, n_limit, -1.75)[0]))
     x = p.x
     return (
         np.abs(c1).max(initial=0.0) * x / (p.m0 + 1) ** 2 * 4 * p.k_diff * s1

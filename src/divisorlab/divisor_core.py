@@ -58,6 +58,12 @@ class DivisorTable:
             object.__setattr__(self, "_summatory", out)
         return out
 
+    def series_columns(self, lo, hi, exponent):
+        """Float columns (d(n) * n**exponent, sqrt(n)) for lo <= n <= hi:
+        the weights and roots of every oscillatory divisor sum."""
+        n = np.arange(lo, hi + 1, dtype=np.float64)
+        return self.values[lo : hi + 1].astype(np.float64) * n**exponent, np.sqrt(n)
+
 
 @dataclass(frozen=True)
 class SummatoryPoint:

@@ -9,7 +9,10 @@ The central sum is
 
 optionally carrying a smooth weight f(n) with |f| <= M.  The recorded
 diagnostic is |H| / ((a^(1/4-alpha) + b^(1/4-alpha)) X^(1/4)), guarded by
-a generous regression ceiling rather than a theorem-level constant.
+a generous regression ceiling rather than a theorem-level constant.  The
+columns d(n) n^-alpha and sqrt(n) of H come from
+``DivisorTable.series_columns``; a weighted sum multiplies the first by
+f(n).
 """
 
 import math
@@ -58,13 +61,11 @@ def exp_sum_exact(spec, table=None):
         table = divisor_core.sieve_divisors(hi)
     elif table.limit < hi:
         raise ResourceError(f"table covers {table.limit}, need {hi}")
-    n = np.arange(lo + 1, hi + 1, dtype=np.float64)
-    if n.size == 0:
-        return 0.0
-    w = table.values[lo + 1 : hi + 1].astype(np.float64) * n ** (-spec.alpha)
+    w, sqrtn = table.series_columns(lo + 1, hi, -spec.alpha)
     if spec.weight is not None:
+        n = np.arange(lo + 1, hi + 1, dtype=np.float64)
         w = w * np.asarray(spec.weight(n), dtype=np.float64)
-    return _kernels.cos_sum(w, np.sqrt(n), 4.0 * math.pi * math.sqrt(spec.x), spec.beta)
+    return _kernels.cos_sum(w, sqrtn, 4.0 * math.pi * math.sqrt(spec.x), spec.beta)
 
 
 def exp_sum_bound_ratio(spec, table=None):

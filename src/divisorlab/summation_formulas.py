@@ -42,16 +42,11 @@ def oscillatory_integral(g, lo, hi, omega, phase):
         return 0.0
     periods = abs(omega) * (hi - lo) / TWO_PI
     panels = max(4, int(math.ceil(periods)) + 1)
-    edges = np.linspace(lo, hi, panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    u = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    vals = np.asarray(g(u)) * np.cos(omega * u + phase)
-    return float(np.sum(vals.reshape(panels, -1) @ _GL_WEIGHTS * half))
+    return smooth_integral(lambda u: np.asarray(g(u)) * np.cos(omega * u + phase), lo, hi, panels)
 
 
 def smooth_integral(g, lo, hi, panels=8):
-    """Composite Gauss-Legendre quadrature of a smooth non-oscillatory g."""
+    """Composite 16-point Gauss-Legendre quadrature of g over [lo, hi]."""
     if hi <= lo:
         return 0.0
     edges = np.linspace(lo, hi, panels + 1)
@@ -361,16 +356,20 @@ def _delta_average_exact(x, h0, cumsum):
     return math.fsum(step_part) / h0 - smooth_avg
 
 
-def _phi_average(n, x, h0, betas):
-    """(1/h0) int_0^h0 phi(n, (x+h)^2) dh via u = x + h."""
+def _phi_integral(n, x, h1, h2, weight=None):
+    """int_{h1}^{h2} g(h) phi(n, (x+h)^2) dh via u = x + h, with the weight
+    g = 1 when ``weight`` is None."""
     acc = 0.0
     omega = 4.0 * math.pi * math.sqrt(n)
-    for alpha, beta in enumerate(betas):
+    for alpha, beta in enumerate(voronoi.default_betas(ALPHA0)):
         c = beta * n**-0.75 / (math.sqrt(2.0) * math.pi) / (4.0 * math.pi * math.sqrt(n)) ** alpha
         phase = -math.pi / 4.0 + alpha * math.pi / 2.0
-        g = lambda u: u ** (0.5 - alpha)
-        acc += c * oscillatory_integral(g, x, x + h0, omega, phase)
-    return acc / h0
+        if weight is None:
+            g = lambda u: u ** (0.5 - alpha)
+        else:
+            g = lambda u: np.asarray(weight(u - x)) * u ** (0.5 - alpha)
+        acc += c * oscillatory_integral(g, x + h1, x + h2, omega, phase)
+    return acc
 
 
 def smoothed_delta_average(x, h0, n_terms):
@@ -382,10 +381,9 @@ def smoothed_delta_average(x, h0, n_terms):
     require_count("n_terms", n_terms)
     table = divisor_core.sieve_divisors(max(int(math.floor((x + h0) ** 2)) + 1, n_terms))
     cumsum = table.summatory()
-    betas = voronoi.default_betas(ALPHA0)
     lhs = _delta_average_exact(x, h0, cumsum)
     rhs = math.fsum(
-        float(table.values[n]) * _phi_average(n, x, h0, betas)
+        float(table.values[n]) * (_phi_integral(n, x, 0.0, h0) / h0)
         for n in range(1, n_terms + 1)
     )
     return ResidualReport(
@@ -421,19 +419,10 @@ def weighted_delta_average(x, h1, h2, weight, n_terms):
         lhs_parts.append(-smooth_integral(g_smooth, a_h, b_h, panels=8))
     lhs = math.fsum(lhs_parts)
 
-    betas = voronoi.default_betas(ALPHA0)
-    rhs_parts = []
-    for n in range(1, n_terms + 1):
-        omega = 4.0 * math.pi * math.sqrt(n)
-        acc = 0.0
-        for alpha, beta in enumerate(betas):
-            c = beta * n**-0.75 / (math.sqrt(2.0) * math.pi)
-            c /= (4.0 * math.pi * math.sqrt(n)) ** alpha
-            phase = -math.pi / 4.0 + alpha * math.pi / 2.0
-            g = lambda u: np.asarray(weight(u - x)) * u ** (0.5 - alpha)
-            acc += c * oscillatory_integral(g, x + h1, x + h2, omega, phase)
-        rhs_parts.append(float(table.values[n]) * acc)
-    rhs = math.fsum(rhs_parts)
+    rhs = math.fsum(
+        float(table.values[n]) * _phi_integral(n, x, h1, h2, weight)
+        for n in range(1, n_terms + 1)
+    )
     return ResidualReport(
         lhs=lhs, rhs=rhs,
         params={"x": x, "h1": h1, "h2": h2, "n_terms": n_terms, "alpha0": ALPHA0},

@@ -15,7 +15,9 @@ with gamma taken from the exact rational table, and the companion kernel
         / (4 pi sqrt(nx))^alpha,         beta_0 = 1, beta_1 = 3/8.
 
 The truncated series for the error term is the N-term sum of
-d(n) phi(n, x) at alpha0 = 0 (single-phase form) or alpha0 = 1.
+d(n) phi(n, x) at alpha0 = 0 (single-phase form) or alpha0 = 1.  Its
+columns d(n) n^(-3/4), d(n) n^(-5/4) and sqrt(n) come from
+``DivisorTable.series_columns``.
 """
 
 import math
@@ -158,18 +160,11 @@ def _require_non_integer(x):
         )
 
 
-def _series_weights(n_terms, exponent):
-    table = divisor_core.sieve_divisors(n_terms)
-    n = np.arange(1, n_terms + 1, dtype=np.float64)
-    w = table.values[1 : n_terms + 1].astype(np.float64) * n**exponent
-    return w, np.sqrt(n)
-
-
 def truncated_delta(x, n_terms):
     """Single-phase N-term series vs exact delta(x)."""
     _require_non_integer(x)
     require_count("n_terms", n_terms)
-    w, sqrtn = _series_weights(n_terms, -0.75)
+    w, sqrtn = divisor_core.sieve_divisors(n_terms).series_columns(1, n_terms, -0.75)
     total = _kernels.cos_sum(w, sqrtn, 4.0 * math.pi * math.sqrt(x), -math.pi / 4.0)
     approx = x**0.25 / (math.pi * math.sqrt(2.0)) * total
     exact = divisor_core.delta(x).delta
@@ -178,7 +173,7 @@ def truncated_delta(x, n_terms):
 
 def phi_correction_series(x, n_terms):
     """The alpha = 1 correction series alone (beta_1 term of phi)."""
-    w, sqrtn = _series_weights(n_terms, -1.25)
+    w, sqrtn = divisor_core.sieve_divisors(n_terms).series_columns(1, n_terms, -1.25)
     total = _kernels.cos_sum(w, sqrtn, 4.0 * math.pi * math.sqrt(x), math.pi / 4.0)
     return x**0.25 / (math.pi * math.sqrt(2.0)) * (3.0 / (8.0 * 4.0 * math.pi)) * x**-0.5 * total
 
@@ -222,10 +217,7 @@ def convergence_report(count=50, seed=0):
     require_count("count", count)
     n_values = [10, 100, 1000, 10000]
     n_max = n_values[-1]
-    table = divisor_core.sieve_divisors(n_max)
-    n = np.arange(1, n_max + 1, dtype=np.float64)
-    w = table.values[1 : n_max + 1].astype(np.float64) * n**-0.75
-    sqrtn = np.sqrt(n)
+    w, sqrtn = divisor_core.sieve_divisors(n_max).series_columns(1, n_max, -0.75)
     stops = np.asarray(n_values, dtype=np.int64)
 
     decades = {}

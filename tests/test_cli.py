@@ -296,6 +296,22 @@ class TestBadInput:
         assert "Traceback" not in err and ">= 1" in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "coeffs"),
+            ("voronoi", "slope"),
+            ("theta", "sweep"),
+            ("expsum", "sweep"),
+            ("construct", "check", "--u", "1000"),
+        ],
+    )
+    def test_negative_seed(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err and "expected an integer >= 0, got -1" in err
+
+    @pytest.mark.parametrize(
         "text, argv",
         [
             ("{not json", ("verify", "coeffs", "--config")),
@@ -303,12 +319,16 @@ class TestBadInput:
             (json.dumps({"tolerances": [1]}), ("verify", "coeffs", "--config")),
             (json.dumps({"tolerances": {"theta-identity": "tight"}}), ("verify", "coeffs", "--config")),
             (json.dumps({"tolerances": {"kernel-coefficient-tabel": 1e-3}}), ("verify", "coeffs", "--config")),
+            (json.dumps({"seed": "abc"}), ("verify", "coeffs", "--config")),
+            (json.dumps({"seed": -1}), ("verify", "coeffs", "--config")),
+            (json.dumps({"sieve_limit": "x"}), ("scan", "--to", "3", "--config")),
             (json.dumps({"c1": [0.0]}), ("construct", "lambda", "--x", "1e4", "--coeffs")),
             (json.dumps({"c1": 5, "c2": 5}), ("construct", "lambda", "--x", "1e4", "--coeffs")),
         ],
         ids=[
             "config-bad-json", "config-list", "config-tolerances-list", "config-text-tolerance",
-            "config-unknown-tolerance",
+            "config-unknown-tolerance", "config-text-seed", "config-negative-seed",
+            "config-text-sieve-limit",
             "coeffs-no-c2", "coeffs-scalar",
         ],
     )

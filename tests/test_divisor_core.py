@@ -148,6 +148,17 @@ class TestSummatory:
         assert first[0] == 0
         assert np.array_equal(first[1:], np.cumsum(table_1e4.values[1:]))
 
+    @pytest.mark.parametrize("exponent", [0, -0.75, -1.25])
+    def test_series_columns_against_per_n_oracle(self, table_1e4, exponent):
+        for lo, hi in ((1, 300), (4321, 4500), (70, 69)):
+            w, sqrtn = table_1e4.series_columns(lo, hi, exponent)
+            assert w.dtype == sqrtn.dtype == np.float64
+            assert len(w) == len(sqrtn) == max(0, hi - lo + 1)
+            for i, n in enumerate(range(lo, hi + 1)):
+                want = divisor_count(n) * float(n) ** exponent
+                assert abs(w[i] - want) <= 2 * math.ulp(want)
+                assert sqrtn[i] == math.sqrt(n)
+
     def test_pinned_trillion(self):
         assert summatory_hyperbola(10**12) == 27785452449086
         assert _kernels.hyperbola_dsum(10**12) == 27785452449086

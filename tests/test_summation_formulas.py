@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from divisorlab import divisor_core, summation_formulas as smf, voronoi
+from divisorlab import divisor_core, summation_formulas as smf
 from divisorlab.descriptors import ConstantFn, PowerFn
 from divisorlab.divisor_core import EULER_GAMMA
 from divisorlab.errors import DomainError
@@ -200,7 +200,7 @@ class TestSmoothedDeltaAverage:
         x, h0, n_terms = 31.62, 0.01, 1500
         plain = smf.smoothed_delta_average(x, h0, n_terms)
         want = math.fsum(
-            divisor_core.divisor_count(n) * smf._phi_average(n, x, h0, voronoi.PHI_BETAS)
+            divisor_core.divisor_count(n) * (smf._phi_integral(n, x, 0.0, h0) / h0)
             for n in range(1, n_terms + 1)
         )
         assert plain.rhs == want

@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """Reach census: the code in src/divisorlab that no documented command runs.
 
-Runs every command of the README's CLI section, plus the variants the
-README names elsewhere (a ``--config`` run, JSON output, the other kernel
-order of ``voronoi eval``, a phase large enough for the extended-precision
-reduction, ``coeffs --lam 3`` and the ``exp`` function of ``diffop``), in this one process under a line
-tracer and inside a temporary directory.  Then prints
+Runs the documented commands of ``corpus.COMMANDS`` (the README's CLI
+section, the variants the README names elsewhere, and variants with
+non-default ``--count``, ``--seed`` and ``sieve_limit``) in this one
+process under a line tracer and inside a temporary directory.  Then prints
 
 * each function or method of src/divisorlab that no command entered, with
   its line count,
@@ -31,64 +30,16 @@ import contextlib
 import importlib
 import inspect
 import io
-import json
-import math
 import os
 import sys
 import tempfile
 from collections import defaultdict
 from pathlib import Path
 
+from corpus import COMMANDS, write_inputs
+
 ROOT = Path(__file__).resolve().parent.parent
 PKG = ROOT / "src" / "divisorlab"
-
-COMMANDS = (
-    # the README's CLI section, in its order
-    ("compute", "--x", "10"),
-    ("scan", "--to", "1000", "--step", "1", "--out", "d.csv"),
-    ("coeffs", "--order", "6"),
-    ("verify", "all"),
-    ("verify", "theta", "--count", "1000", "--seed", "7"),
-    ("voronoi", "eval", "--x", "100.5", "--terms", "1000"),
-    ("voronoi", "slope", "--out", "slope.csv"),
-    ("theta", "verify", "--v", "1.7,-0.3", "--b", "0.25", "--m0", "3", "--x", "0.4"),
-    ("theta", "sweep", "--count", "100", "--seed", "1", "--out", "sweep.csv"),
-    ("sumcheck", "lemma33", "--terms", "100"),
-    ("sumcheck", "lemma23", "--a", "30.1", "--b", "31.4", "--h0", "0.1", "--terms", "1000"),
-    ("sumcheck", "lemma25", "--x", "31.62", "--h0", "0.01", "--terms", "1000"),
-    ("expsum", "eval", "--x", "10000", "--alpha", "0.25", "--beta", "0", "--a", "1", "--b", "1000"),
-    ("expsum", "sweep", "--count", "500", "--seed", "0", "--out", "es.csv"),
-    ("diffop", "check", "--k", "8", "--nu0", "0.001", "--radius", "0.05", "--fn", "sin", "--param", "10"),
-    ("construct", "check", "--u", "1000000", "--c0", "200", "--samples", "10000", "--seed", "0"),
-    ("construct", "lambda", "--coeffs", "c.json", "--x", "10000"),
-    # variants the README documents outside that section
-    ("compute", "--x", "10", "--json"),
-    ("voronoi", "eval", "--x", "100.5", "--terms", "1000", "--kernel-order", "1"),
-    ("expsum", "eval", "--x", "1e25", "--alpha", "0.25", "--beta", "0", "--a", "1", "--b", "1000"),
-    ("scan", "--to", "1000", "--format", "json", "--out", "d.json"),
-    ("coeffs", "--order", "4", "--lam", "3"),
-    ("diffop", "check", "--k", "8", "--nu0", "0.001", "--radius", "0.05", "--fn", "exp"),
-    ("verify", "all", "--config", "cfg.json"),
-)
-
-#: the README's example config file
-CONFIG = {
-    "sieve_limit": 200000000,
-    "tolerances": {"theta-identity": 1e-10},
-    "seed": 0,
-}
-
-
-def _write_inputs():
-    """cfg.json, and c.json with c1 (length 4K) and c2 (length 4K + 2) for
-    X = X2 = 1e4 at C0 = 200, where K = floor(C0 L / log L), L = log X2."""
-    log_x2 = math.log(1e4)
-    k_diff = int(math.floor(200.0 * log_x2 / math.log(log_x2)))
-    c1 = [0.0] * (4 * k_diff)
-    c2 = [0.0] * (4 * k_diff + 2)
-    c1[0] = c1[-1] = c2[0] = c2[-1] = 1.0
-    Path("c.json").write_text(json.dumps({"c1": c1, "c2": c2}))
-    Path("cfg.json").write_text(json.dumps(CONFIG))
 
 
 def _public_defaults():
@@ -244,7 +195,7 @@ def main():
         here = os.getcwd()
         os.chdir(tmp)
         try:
-            _write_inputs()
+            write_inputs()
             lines, entered, failed, never_set = _trace_commands()
         finally:
             os.chdir(here)
