@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 
 from .divisor_core import DEFAULT_SIEVE_BUDGET
-from .errors import DomainError
+from .errors import DomainError, require_seed
 
 
 @dataclass
@@ -28,8 +28,7 @@ class RunConfig:
     def __post_init__(self):
         if not (isinstance(self.sieve_limit, (int, float)) and self.sieve_limit >= 0):
             raise DomainError(f"sieve_limit must be a number >= 0, got {self.sieve_limit!r}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
-            raise DomainError(f"seed must be an integer >= 0, got {self.seed!r}")
+        require_seed(self.seed)
         for name, tol in self.tolerances.items():
             try:
                 ok = float(tol) >= 0

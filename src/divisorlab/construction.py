@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels, divisor_core
-from .errors import DomainError, PrecisionError, ResourceError, require_count
+from .errors import DomainError, PrecisionError, ResourceError, require_count, require_seed
 
 #: largest U for which the split arithmetic keeps full float headroom
 MAX_U = 1 << 50
@@ -265,6 +265,7 @@ def sample_unconstrained(p, rng):
 def admissible_sweep(p, samples, seed):
     """Band and empty-interval rates over seeded admissible tuples."""
     require_count("samples", samples)
+    require_seed(seed)
     rng = np.random.default_rng(seed)
     in_band = 0
     zero_count = 0
@@ -312,6 +313,7 @@ def find_violation(p, seed):
 def construct_check(u, c0, samples, seed):
     """CLI-facing sweep: admissible rates plus one negative-control search
     in the C0 = 1 regime at the same U."""
+    require_seed(seed)
     x = float(u)
     p = build_params(x, x, c0)
     out = admissible_sweep(p, samples, seed)

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels, divisor_core
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, require_seed
 
 #: regression ceiling for the bound-ratio diagnostic
 RATIO_CEILING = 100.0
@@ -120,6 +120,7 @@ def expsum_sweep(count, seed, table=None):
 
     Specs come from ``random_spec`` (X <= 10^6, so one table to 10^6
     serves every row); a fifth of the rows, drawn per row, are weighted."""
+    require_seed(seed)
     rng = np.random.default_rng(seed)
     if table is None:
         table = divisor_core.sieve_divisors(SWEEP_X_MAX)
@@ -181,23 +182,25 @@ def difference_apply(spec):
 
 def difference_apply_tensor(spec):
     """2**K corner enumeration of the same operator, kept as an
-    independent cross-check of the binomial collapse."""
+    independent cross-check of the binomial collapse.
+
+    Rational corner values are summed as integers over their common
+    denominator, float ones with compensation.
+    """
     if spec.k > MAX_TENSOR_ORDER:
         raise ResourceError(
             f"tensor enumeration caps at order {MAX_TENSOR_ORDER}, got {spec.k}"
         )
     vals = [spec.f(a * spec.nu0) for a in range(spec.k + 1)]
-    exact = any(isinstance(v, Fraction) for v in vals)
-    total = Fraction(0) if exact else 0.0
-    parts = []
-    for mask in range(1 << spec.k):
-        ones = mask.bit_count()
-        term = vals[ones] if (spec.k - ones) % 2 == 0 else -vals[ones]
-        if exact:
-            total += term
-        else:
-            parts.append(term)
-    return total if exact else math.fsum(parts)
+    signed = [v if (spec.k - a) % 2 == 0 else -v for a, v in enumerate(vals)]
+    # corner mask -> number of unit steps it takes, i.e. which value it sees
+    corners = map(int.bit_count, range(1 << spec.k))
+    rational = any(isinstance(v, Fraction) for v in vals)
+    if rational and all(isinstance(v, (Fraction, int)) for v in vals):
+        den = math.lcm(*(v.denominator for v in signed))
+        ints = [v.numerator * (den // v.denominator) for v in signed]
+        return Fraction(sum(map(ints.__getitem__, corners)), den)
+    return math.fsum(map(signed.__getitem__, corners))
 
 
 # ------------------------------------------------- analytic decay ceiling

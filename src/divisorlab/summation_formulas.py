@@ -15,6 +15,7 @@ series/quadrature route:
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.integrate import quad
@@ -31,6 +32,19 @@ ALPHA0 = 1
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
+#: most quadrature nodes ``_oscillatory_integrals`` evaluates at once
+_NODE_BLOCK = 1 << 20
+
+#: most n per block of the kernel series, so memory stays bounded in n_terms
+_N_BLOCK = 1 << 14
+
+
+def _panel_count(omega, lo, hi):
+    """Panels of the composite rule for cos(omega*u) on [lo, hi]: one per
+    period of the oscillation plus one, and at least 4."""
+    periods = abs(omega) * (hi - lo) / TWO_PI
+    return max(4, int(math.ceil(periods)) + 1)
+
 
 def oscillatory_integral(g, lo, hi, omega, phase):
     """integral of g(u) * cos(omega*u + phase) over [lo, hi].
@@ -40,13 +54,40 @@ def oscillatory_integral(g, lo, hi, omega, phase):
     """
     if hi <= lo:
         return 0.0
-    periods = abs(omega) * (hi - lo) / TWO_PI
-    panels = max(4, int(math.ceil(periods)) + 1)
+    panels = _panel_count(omega, lo, hi)
     return smooth_integral(lambda u: np.asarray(g(u)) * np.cos(omega * u + phase), lo, hi, panels)
 
 
+def _oscillatory_integrals(g, lo, hi, omegas, phase):
+    """``oscillatory_integral`` at each of ``omegas``, as an array with the
+    same bits.
+
+    Omegas with the same panel count share the nodes and g(u); their rows
+    are integrated together, at most ``_NODE_BLOCK`` nodes at a time.
+    """
+    omegas = np.asarray(omegas, dtype=np.float64)
+    out = np.zeros(len(omegas))
+    if hi <= lo:
+        return out
+    panels = np.array([_panel_count(w, lo, hi) for w in omegas.tolist()])
+    for p in np.unique(panels).tolist():
+        rows = np.flatnonzero(panels == p)
+        step = max(1, _NODE_BLOCK // (16 * p))
+        for start in range(0, len(rows), step):
+            block = rows[start : start + step]
+            om = omegas[block, None]
+            out[block] = smooth_integral(
+                lambda u: np.asarray(g(u)) * np.cos(om * u + phase), lo, hi, p
+            )
+    return out
+
+
 def smooth_integral(g, lo, hi, panels=8):
-    """Composite 16-point Gauss-Legendre quadrature of g over [lo, hi]."""
+    """Composite 16-point Gauss-Legendre quadrature of g over [lo, hi].
+
+    g maps the nodes u to values of shape (..., len(u)); every row is
+    integrated, and a single row comes back as a float.
+    """
     if hi <= lo:
         return 0.0
     edges = np.linspace(lo, hi, panels + 1)
@@ -54,7 +95,20 @@ def smooth_integral(g, lo, hi, panels=8):
     half = 0.5 * (edges[1:] - edges[:-1])
     u = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     vals = np.asarray(g(u))
-    return float(np.sum(vals.reshape(panels, -1) @ _GL_WEIGHTS * half))
+    lead = vals.shape[:-1]
+    # a stacked matmul runs one (panels, 16) product per row, as the
+    # single-row call does; one flat (rows * panels, 16) product does not
+    # give the same bits
+    out = np.sum(np.matmul(vals.reshape(*lead, panels, 16), _GL_WEIGHTS) * half, axis=-1)
+    return out if lead else float(out)
+
+
+def _n_blocks(n_terms):
+    """n = 1..n_terms in runs of at most ``_N_BLOCK``, each with its
+    frequencies omega = 4 pi sqrt(n)."""
+    for first in range(1, n_terms + 1, _N_BLOCK):
+        n = range(first, min(first + _N_BLOCK, n_terms + 1))
+        yield n, [4.0 * math.pi * math.sqrt(k) for k in n]
 
 
 # ------------------------------------------------------- Fourier summation
@@ -285,24 +339,25 @@ def _kernel_series(spec, n_terms, table):
         else [(a, b, 0.0, 1.0)]  # weight collapses to the indicator
     )
     scale = 1.0 / h0 if h0 > 0 else 1.0
-    total = []
-    for n in range(1, n_terms + 1):
-        omega = 4.0 * math.pi * math.sqrt(n)
-        acc = 0.0
-        for alpha, g_alpha in enumerate(gam):
-            c = (
-                math.sqrt(2.0)
-                * n ** (-0.25)
-                * g_alpha
-                * n ** (-alpha / 2.0)
-                / (4.0 * math.pi) ** alpha
-            )
-            phase = math.pi / 4.0 + alpha * math.pi / 2.0
-            for lo, hi, slope, inter in pieces:
-                g = lambda u: (slope * u + inter) * 2.0 * u ** (0.5 - alpha) * np.asarray(f(u * u))
-                acc += c * oscillatory_integral(g, lo, hi, omega, phase)
-        total.append(scale * dn[n] * acc)
-    return math.fsum(total)
+
+    def terms():
+        for n, omegas in _n_blocks(n_terms):
+            acc = np.zeros(len(n))
+            for alpha, g_alpha in enumerate(gam):
+                c = np.array([
+                    math.sqrt(2.0) * k ** (-0.25) * g_alpha * k ** (-alpha / 2.0)
+                    / (4.0 * math.pi) ** alpha
+                    for k in n
+                ])
+                phase = math.pi / 4.0 + alpha * math.pi / 2.0
+                for lo, hi, slope, inter in pieces:
+                    g = lambda u: (
+                        (slope * u + inter) * 2.0 * u ** (0.5 - alpha) * np.asarray(f(u * u))
+                    )
+                    acc += c * _oscillatory_integrals(g, lo, hi, omegas, phase)
+            yield from (scale * dn[n.start : n.stop] * acc).tolist()
+
+    return math.fsum(terms())
 
 
 def smoothed_voronoi_check(spec, n_terms):
@@ -356,20 +411,26 @@ def _delta_average_exact(x, h0, cumsum):
     return math.fsum(step_part) / h0 - smooth_avg
 
 
-def _phi_integral(n, x, h1, h2, weight=None):
-    """int_{h1}^{h2} g(h) phi(n, (x+h)^2) dh via u = x + h, with the weight
-    g = 1 when ``weight`` is None."""
-    acc = 0.0
-    omega = 4.0 * math.pi * math.sqrt(n)
-    for alpha, beta in enumerate(voronoi.default_betas(ALPHA0)):
-        c = beta * n**-0.75 / (math.sqrt(2.0) * math.pi) / (4.0 * math.pi * math.sqrt(n)) ** alpha
-        phase = -math.pi / 4.0 + alpha * math.pi / 2.0
-        if weight is None:
-            g = lambda u: u ** (0.5 - alpha)
-        else:
-            g = lambda u: np.asarray(weight(u - x)) * u ** (0.5 - alpha)
-        acc += c * oscillatory_integral(g, x + h1, x + h2, omega, phase)
-    return acc
+def _phi_integral(x, h1, h2, n_terms, weight=None):
+    """int_{h1}^{h2} g(h) phi(n, (x+h)^2) dh via u = x + h for n = 1..n_terms,
+    with the weight g = 1 when ``weight`` is None; yields (n, integrals)
+    per block of n."""
+    betas = voronoi.default_betas(ALPHA0)
+    for n, omegas in _n_blocks(n_terms):
+        acc = np.zeros(len(n))
+        for alpha, beta in enumerate(betas):
+            c = np.array([
+                beta * k**-0.75 / (math.sqrt(2.0) * math.pi)
+                / (4.0 * math.pi * math.sqrt(k)) ** alpha
+                for k in n
+            ])
+            phase = -math.pi / 4.0 + alpha * math.pi / 2.0
+            if weight is None:
+                g = lambda u: u ** (0.5 - alpha)
+            else:
+                g = lambda u: np.asarray(weight(u - x)) * u ** (0.5 - alpha)
+            acc += c * _oscillatory_integrals(g, x + h1, x + h2, omegas, phase)
+        yield n, acc
 
 
 def smoothed_delta_average(x, h0, n_terms):
@@ -382,10 +443,10 @@ def smoothed_delta_average(x, h0, n_terms):
     table = divisor_core.sieve_divisors(max(int(math.floor((x + h0) ** 2)) + 1, n_terms))
     cumsum = table.summatory()
     lhs = _delta_average_exact(x, h0, cumsum)
-    rhs = math.fsum(
-        float(table.values[n]) * (_phi_integral(n, x, 0.0, h0) / h0)
-        for n in range(1, n_terms + 1)
-    )
+    d = table.values
+    rhs = math.fsum(chain.from_iterable(
+        (d[n.start : n.stop] * (phi / h0)).tolist() for n, phi in _phi_integral(x, 0.0, h0, n_terms)
+    ))
     return ResidualReport(
         lhs=lhs, rhs=rhs,
         params={"x": x, "h0": h0, "n_terms": n_terms, "alpha0": ALPHA0},
@@ -419,10 +480,10 @@ def weighted_delta_average(x, h1, h2, weight, n_terms):
         lhs_parts.append(-smooth_integral(g_smooth, a_h, b_h, panels=8))
     lhs = math.fsum(lhs_parts)
 
-    rhs = math.fsum(
-        float(table.values[n]) * _phi_integral(n, x, h1, h2, weight)
-        for n in range(1, n_terms + 1)
-    )
+    d = table.values
+    rhs = math.fsum(chain.from_iterable(
+        (d[n.start : n.stop] * phi).tolist() for n, phi in _phi_integral(x, h1, h2, n_terms, weight)
+    ))
     return ResidualReport(
         lhs=lhs, rhs=rhs,
         params={"x": x, "h1": h1, "h2": h2, "n_terms": n_terms, "alpha0": ALPHA0},

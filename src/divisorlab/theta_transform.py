@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, require_seed
 
 #: stop once the two-sided tail bound drops below this times the peak term
 TAIL_RATIO = 1e-18
@@ -217,5 +217,6 @@ def random_spec(rng):
 
 def theta_sweep(count, seed, tol_scale=1e-10):
     """Residual reports for ``count`` seeded random specs."""
+    require_seed(seed)
     rng = np.random.default_rng(seed)
     return [verify_theta(random_spec(rng), tol_scale=tol_scale) for _ in range(count)]

@@ -22,7 +22,7 @@ from . import (
     theta_transform,
     voronoi,
 )
-from .errors import DomainError, require_count
+from .errors import DomainError, require_count, require_seed
 
 #: frozen regression constants (measured on first run, guarded since)
 LEMMA33_ERROR_TIMES_N = 0.5
@@ -751,6 +751,7 @@ def run_verify(suite, count=None, seed=0, config=None):
     """
     if count is not None:
         require_count("count", count)
+    require_seed(seed)
     unknown = sorted(set(config.tolerances) - set(TOLERANCES)) if config is not None else []
     if unknown:
         raise DomainError(f"unknown tolerance {unknown[0]!r}; choose from {', '.join(TOLERANCES)}")

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels, divisor_core, special_functions
-from .errors import DomainError, PrecisionError, require_count
+from .errors import DomainError, PrecisionError, require_count, require_seed
 
 #: exponent used in the recorded error scale x^(1/2+eps) N^(-1/2) + x^eps
 BOUND_EPS = 0.05
@@ -215,6 +215,7 @@ def convergence_report(count=50, seed=0):
     pooled slope is the headline convergence measurement.
     """
     require_count("count", count)
+    require_seed(seed)
     n_values = [10, 100, 1000, 10000]
     n_max = n_values[-1]
     w, sqrtn = divisor_core.sieve_divisors(n_max).series_columns(1, n_max, -0.75)

@@ -1,6 +1,7 @@
 import pytest
 
-from divisorlab import construction, summation_formulas as smf, verify, voronoi
+from divisorlab import construction, exp_sums, summation_formulas as smf
+from divisorlab import theta_transform, verify, voronoi
 from divisorlab.descriptors import ConstantFn, PowerFn
 from divisorlab.errors import DomainError
 
@@ -28,3 +29,23 @@ def test_count_below_one_is_a_domain_error(call):
     with pytest.raises(DomainError) as exc:
         call()
     assert "\n" not in str(exc.value) and ">= 1" in str(exc.value)
+
+
+SEEDED = {
+    "run_verify": lambda seed: verify.run_verify("coeffs", seed=seed),
+    "theta_sweep": lambda seed: theta_transform.theta_sweep(2, seed),
+    "expsum_sweep": lambda seed: exp_sums.expsum_sweep(2, seed),
+    "convergence_report": lambda seed: voronoi.convergence_report(count=2, seed=seed),
+    "admissible_sweep": lambda seed: construction.admissible_sweep(
+        construction.build_params(1e4, 1e4, 200.0), 10, seed
+    ),
+    "construct_check": lambda seed: construction.construct_check(10**4, 200.0, 10, seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", True], ids=["negative", "float", "str", "bool"])
+@pytest.mark.parametrize("call", SEEDED.values(), ids=SEEDED.keys())
+def test_bad_seed_is_a_domain_error(call, seed):
+    with pytest.raises(DomainError) as exc:
+        call(seed)
+    assert "\n" not in str(exc.value) and "seed must be an integer >= 0" in str(exc.value)

@@ -8,6 +8,33 @@ from divisorlab import exp_sums as es
 from divisorlab.errors import DomainError, ResourceError
 
 
+def tensor_oracle(spec):
+    """The 2**K corner enumeration one corner at a time: a running Fraction
+    sum when a value is rational, a list of every corner for math.fsum
+    otherwise."""
+    vals = [spec.f(a * spec.nu0) for a in range(spec.k + 1)]
+    exact = any(isinstance(v, F) for v in vals)
+    total = F(0) if exact else 0.0
+    parts = []
+    for mask in range(1 << spec.k):
+        ones = mask.bit_count()
+        term = vals[ones] if (spec.k - ones) % 2 == 0 else -vals[ones]
+        if exact:
+            total += term
+        else:
+            parts.append(term)
+    return total if exact else math.fsum(parts)
+
+
+def _primes_from(start, count):
+    out, n = [], start
+    while len(out) < count:
+        if all(n % d for d in range(2, math.isqrt(n) + 1)):
+            out.append(n)
+        n += 1
+    return out
+
+
 class TestExpSumExact:
     def test_empty_range(self, table_1e4):
         spec = es.ExpSumSpec(x=100.0, alpha=0.5, beta=0.1, a=50.0, b=50.0)
@@ -112,6 +139,41 @@ class TestDifferenceOperator:
         for k in range(1, 21):
             spec = es.DifferenceSpec(k=k, nu0=nu0, f=f)
             assert es.difference_apply(spec) == es.difference_apply_tensor(spec)
+
+    def test_tensor_matches_corner_loop(self, rng):
+        # pairwise coprime denominators near 10^6 make the common
+        # denominator of the corner values a large product
+        primes = _primes_from(10**6, 40)
+        for _ in range(30):
+            k = int(rng.integers(1, 13))
+            dens = rng.permutation(primes)
+            coeffs = tuple(
+                F(int(rng.integers(-10**9, 10**9)), int(d)) for d in dens[: int(rng.integers(1, k + 3))]
+            )
+            nu0 = F(int(rng.integers(1, 50)), int(dens[-1]))
+            spec = es.DifferenceSpec(k=k, nu0=nu0, f=es.PolynomialFn(coeffs))
+            got = es.difference_apply_tensor(spec)
+            assert type(got) is F and got == tensor_oracle(spec)
+        # int values at the whole-number points, Fractions between them
+        mixed = es.DifferenceSpec(
+            k=9, nu0=F(1, 2), f=lambda t: t.numerator if t.denominator == 1 else t**3
+        )
+        assert es.difference_apply_tensor(mixed) == tensor_oracle(mixed)
+        ints = es.DifferenceSpec(k=9, nu0=3, f=lambda t: t * t * t)
+        got = es.difference_apply_tensor(ints)
+        assert type(got) is float and got == tensor_oracle(ints)
+
+    def test_tensor_float_path_bits(self, rng):
+        for _ in range(20):
+            k = int(rng.integers(1, 13))
+            nu0 = float(rng.uniform(0.01, 0.2))
+            f = (
+                es.SineFn(float(rng.uniform(0.5, 4.0)))
+                if rng.uniform() < 0.5
+                else es.ExpGrowthFn(float(rng.uniform(-2.0, 2.0)))
+            )
+            spec = es.DifferenceSpec(k=k, nu0=nu0, f=f)
+            assert es.difference_apply_tensor(spec).hex() == tensor_oracle(spec).hex()
 
     def test_order_caps(self):
         spec = es.DifferenceSpec(k=61, nu0=0.1, f=lambda t: t)

@@ -3,10 +3,68 @@ import math
 import numpy as np
 import pytest
 
-from divisorlab import divisor_core, summation_formulas as smf
+from divisorlab import divisor_core, special_functions, summation_formulas as smf, voronoi
 from divisorlab.descriptors import ConstantFn, PowerFn
 from divisorlab.divisor_core import EULER_GAMMA
 from divisorlab.errors import DomainError
+
+
+def phi_integral_oracle(n, x, h1, h2, weight=None):
+    """One n of the companion-kernel series through the scalar
+    ``oscillatory_integral``, one call per kernel order."""
+    acc = 0.0
+    omega = 4.0 * math.pi * math.sqrt(n)
+    for alpha, beta in enumerate(voronoi.default_betas(smf.ALPHA0)):
+        c = beta * n**-0.75 / (math.sqrt(2.0) * math.pi) / (4.0 * math.pi * math.sqrt(n)) ** alpha
+        phase = -math.pi / 4.0 + alpha * math.pi / 2.0
+        if weight is None:
+            g = lambda u: u ** (0.5 - alpha)
+        else:
+            g = lambda u: np.asarray(weight(u - x)) * u ** (0.5 - alpha)
+        acc += c * smf.oscillatory_integral(g, x + h1, x + h2, omega, phase)
+    return acc
+
+
+def kernel_series_oracle(spec, n_terms, table):
+    """The smoothed Voronoi kernel series, one scalar ``oscillatory_integral``
+    per n, kernel order and weight piece."""
+    a, b, h0, f = spec.a, spec.b, spec.h0, spec.f
+    gam = special_functions.derive_kernel_coefficients(smf.ALPHA0).as_floats()
+    dn = table.values
+    pieces = smf._overlap_weight_pieces(a, b, h0) if h0 > 0 else [(a, b, 0.0, 1.0)]
+    scale = 1.0 / h0 if h0 > 0 else 1.0
+    total = []
+    for n in range(1, n_terms + 1):
+        omega = 4.0 * math.pi * math.sqrt(n)
+        acc = 0.0
+        for alpha, g_alpha in enumerate(gam):
+            c = (
+                math.sqrt(2.0)
+                * n ** (-0.25)
+                * g_alpha
+                * n ** (-alpha / 2.0)
+                / (4.0 * math.pi) ** alpha
+            )
+            phase = math.pi / 4.0 + alpha * math.pi / 2.0
+            for lo, hi, slope, inter in pieces:
+                g = lambda u: (slope * u + inter) * 2.0 * u ** (0.5 - alpha) * np.asarray(f(u * u))
+                acc += c * smf.oscillatory_integral(g, lo, hi, omega, phase)
+        total.append(scale * dn[n] * acc)
+    return math.fsum(total)
+
+
+def delta_series_oracle(x, h1, h2, n_terms, weight=None):
+    """The right-hand side of ``smoothed_delta_average`` (weight None, h1 = 0)
+    or of ``weighted_delta_average``, summed one n at a time."""
+    if weight is None:
+        return math.fsum(
+            divisor_core.divisor_count(n) * (phi_integral_oracle(n, x, h1, h2) / h2)
+            for n in range(1, n_terms + 1)
+        )
+    return math.fsum(
+        divisor_core.divisor_count(n) * phi_integral_oracle(n, x, h1, h2, weight)
+        for n in range(1, n_terms + 1)
+    )
 
 
 class TestFourierSum:
@@ -199,11 +257,7 @@ class TestSmoothedDeltaAverage:
         # the series must sum every one of the n_terms terms
         x, h0, n_terms = 31.62, 0.01, 1500
         plain = smf.smoothed_delta_average(x, h0, n_terms)
-        want = math.fsum(
-            divisor_core.divisor_count(n) * (smf._phi_integral(n, x, 0.0, h0) / h0)
-            for n in range(1, n_terms + 1)
-        )
-        assert plain.rhs == want
+        assert plain.rhs == delta_series_oracle(x, 0.0, h0, n_terms)
         w = smf.weighted_delta_average(x, 0.0, h0, ConstantFn(1.0), n_terms)
         assert w.rhs == pytest.approx(plain.rhs * h0, abs=1e-12)
 
@@ -223,3 +277,118 @@ class TestDescriptors:
         )[0]
         got = smf.oscillatory_integral(lambda u: np.sqrt(u), 1.0, 3.0, 40.0, 0.3)
         assert got == pytest.approx(want, abs=1e-12)
+
+
+def _panel_range(lo, hi, n_terms):
+    counts = [smf._panel_count(4.0 * math.pi * math.sqrt(n), lo, hi) for n in range(1, n_terms + 1)]
+    return min(counts), max(counts)
+
+
+@pytest.fixture()
+def small_blocks(monkeypatch):
+    """Blocks of 7 n and of 3 rows of 4 panels, so that a short series
+    crosses many block boundaries of both kinds."""
+    monkeypatch.setattr(smf, "_N_BLOCK", 7)
+    monkeypatch.setattr(smf, "_NODE_BLOCK", 3 * 4 * 16)
+
+
+class TestBatchedQuadrature:
+    """The batched series against one scalar ``oscillatory_integral`` per
+    term, with exact equality."""
+
+    def test_smooth_integral_rows(self, rng):
+        for panels in (1, 4, 9, 130):
+            lo = float(rng.uniform(-3.0, 30.0))
+            hi = lo + float(rng.uniform(0.01, 5.0))
+            c = rng.uniform(-2.0, 2.0, size=(3, 2, 3))
+            rows = lambda u: c[..., :1] + c[..., 1:2] * np.sin(u) + c[..., 2:] * u**2
+            got = smf.smooth_integral(rows, lo, hi, panels)
+            assert got.shape == (3, 2)
+            for i, j in np.ndindex(3, 2):
+                one = smf.smooth_integral(lambda u: rows(u)[i, j], lo, hi, panels)
+                assert type(one) is float and got[i, j] == one
+
+    def test_empty_interval(self):
+        omegas = [1.0, 50.0, 400.0]
+        got = smf._oscillatory_integrals(np.sqrt, 2.5, 2.5, omegas, 0.3)
+        assert got.tolist() == [smf.oscillatory_integral(np.sqrt, 2.5, 2.5, w, 0.3) for w in omegas]
+
+    @pytest.mark.parametrize("weight", [None, PowerFn(0.7, 1.3)], ids=["plain", "weighted"])
+    def test_delta_series_matches_scalar_path(self, weight):
+        x, h1, h2, n_terms = 20.3, 0.0, 1.5, 1200
+        assert _panel_range(x + h1, x + h2, n_terms)[0] == 4
+        assert _panel_range(x + h1, x + h2, n_terms)[1] > 100
+        if weight is None:
+            got = smf.smoothed_delta_average(x, h2, n_terms).rhs
+        else:
+            got = smf.weighted_delta_average(x, h1, h2, weight, n_terms).rhs
+        assert got == delta_series_oracle(x, h1, h2, n_terms, weight)
+
+    @pytest.mark.parametrize("h0", [0.0, 0.4])
+    def test_kernel_series_matches_scalar_path(self, h0):
+        spec = smf.AveragedSumSpec(a=10.1, b=13.2, h0=h0, f=PowerFn(-0.25))
+        n_terms = 400
+        assert _panel_range(spec.a, spec.b, n_terms)[1] > 100
+        table = divisor_core.sieve_divisors(max(n_terms, smf._required_sieve_limit(spec)))
+        assert smf._kernel_series(spec, n_terms, table) == kernel_series_oracle(spec, n_terms, table)
+
+    def test_block_boundaries(self, small_blocks):
+        x, h0, n_terms = 9.7, 0.8, 50
+        assert _panel_range(x, x + h0, n_terms) == (4, 13)
+        assert smf.smoothed_delta_average(x, h0, n_terms).rhs == delta_series_oracle(x, 0.0, h0, n_terms)
+        w = ConstantFn(2.0)
+        got = smf.weighted_delta_average(x, 0.0, h0, w, n_terms).rhs
+        assert got == delta_series_oracle(x, 0.0, h0, n_terms, w)
+        spec = smf.AveragedSumSpec(a=4.1, b=5.3, h0=0.2)
+        table = divisor_core.sieve_divisors(n_terms)
+        assert smf._kernel_series(spec, n_terms, table) == kernel_series_oracle(spec, n_terms, table)
+
+    def test_misplaced_rows_are_caught(self, monkeypatch):
+        # an off-by-one between a group's rows and its integrals hands each
+        # n its neighbour's value; the exact comparison must see it
+        real = smf._oscillatory_integrals
+        monkeypatch.setattr(smf, "_oscillatory_integrals", lambda *args: np.roll(real(*args), 1))
+        x, h0, n_terms = 9.7, 0.8, 50
+        assert smf.smoothed_delta_average(x, h0, n_terms).rhs != delta_series_oracle(x, 0.0, h0, n_terms)
+
+
+class TestWorkAndMemory:
+    def test_series_make_no_scalar_integral_calls(self, monkeypatch):
+        calls = {"oscillatory_integral": 0, "smooth_integral": 0}
+        for name in calls:
+            real = getattr(smf, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(smf, name, counted)
+        smf.smoothed_delta_average(31.62, 0.01, 1000)
+        # every n of 1..1000 has 4 panels: one row block per kernel order
+        assert calls == {"oscillatory_integral": 0, "smooth_integral": 2}
+        smf.weighted_delta_average(31.62, 0.0, 0.01, ConstantFn(1.0), 1000)
+        smf.smoothed_voronoi_check(smf.AveragedSumSpec(a=30.1, b=31.4, h0=0.1, f=PowerFn(-0.25)), 1000)
+        assert calls["oscillatory_integral"] == 0
+
+    def test_memory_is_bounded_in_n_terms(self, monkeypatch):
+        import tracemalloc
+
+        monkeypatch.setattr(smf, "_N_BLOCK", 256)
+        monkeypatch.setattr(smf, "_NODE_BLOCK", 1 << 12)
+        # narrow ranges keep every n at 4 panels, so a row's nodes do not
+        # grow with n either; one table serves both sizes
+        x, h0, n_terms = 31.62, 0.01, 1000
+        spec = smf.AveragedSumSpec(a=30.1, b=30.11, h0=0.005)
+        table = divisor_core.sieve_divisors(4 * n_terms)
+        table.summatory()
+        monkeypatch.setattr(smf.divisor_core, "sieve_divisors", lambda n, *args: table)
+        peaks = []
+        for n in (n_terms, 4 * n_terms):
+            assert _panel_range(spec.a, spec.b + spec.h0, n) == (4, 4)
+            tracemalloc.start()
+            smf.smoothed_delta_average(x, h0, n)
+            smf.weighted_delta_average(x, 0.0, h0, ConstantFn(1.0), n)
+            smf._kernel_series(spec, n, table)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
